@@ -11,6 +11,7 @@
 #   ./ci.sh scale    # 1000-node demo + 64-node weak-scaling gate (release)
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
+#   ./ci.sh hostbench # the repo benchmark's own tests (release)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -54,6 +55,11 @@ mc() {
     echo "==> ompss-mc (matmul+stream, 2-node cluster, >=1000 interleavings each)"
     cargo run -q --release -p ompss-mc --bin mc -- \
         --apps matmul,stream --nodes 2 --max-interleavings 1200 --min-interleavings 1000
+}
+
+hostbench() {
+    echo "==> hostbench tests (a package outside the workspace that compiles against crates/*)"
+    cargo test --release -q --manifest-path hostbench/Cargo.toml
 }
 
 mc_defects() {
@@ -104,6 +110,12 @@ if [[ "${1:-}" == "serve" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "hostbench" ]]; then
+    hostbench
+    echo "CI green."
+    exit 0
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -131,6 +143,7 @@ serve
 
 if [[ "${1:-}" != "quick" ]]; then
     mc_defects
+    hostbench
 fi
 
 echo "CI green."

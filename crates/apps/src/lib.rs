@@ -13,6 +13,10 @@
 //! Every version computes real results under `real: true` parameters,
 //! so cross-version validation is exact-or-tolerance checked; the
 //! paper-scale parameter sets run phantom-backed for timing only.
+//!
+//! [`scenario`] is the registry harnesses name runs with: [`scenario::App`]
+//! dispatches to each OmpSs version at validation scale, and
+//! [`scenario::Topology`] maps a machine shape to its runtime preset.
 
 #![warn(missing_docs)]
 
@@ -20,5 +24,6 @@ pub mod common;
 pub mod matmul;
 pub mod nbody;
 pub mod perlin;
+pub mod scenario;
 pub mod stream;
 pub mod ws;

@@ -6,8 +6,6 @@
 //! output is byte-identical at any job count. Naming figure ids (e.g.
 //! `all_figures figWS`) regenerates just those.
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    ompss_sweep::parse_jobs_flag(&mut args);
     let dir = ompss_bench::results_dir();
     type Entry = (&'static str, fn() -> ompss_bench::FigureData);
     let all: [Entry; 11] = [
@@ -23,12 +21,14 @@ fn main() {
         ("figWS", ompss_bench::figures::figws),
         ("table1", ompss_bench::figures::table1),
     ];
-    for a in &args {
-        assert!(
-            all.iter().any(|(id, _)| id == a),
-            "unknown figure id '{a}'; usage: all_figures [--jobs N] [figure-id...]"
-        );
-    }
+    let args: Vec<String> =
+        ompss_sweep::cli::parse("usage: all_figures [--jobs N] [figure-id...]", |a| {
+            let ids: Vec<String> = a.positionals()?;
+            match ids.iter().find(|id| !all.iter().any(|(known, _)| known == id)) {
+                Some(id) => Err(ompss_sweep::cli::Error(format!("unknown figure id '{id}'"))),
+                None => Ok(ids),
+            }
+        });
     let mut saved = 0;
     for (id, make) in all {
         if !args.is_empty() && !args.iter().any(|a| a == id) {

@@ -200,11 +200,9 @@ fn baseline_total(text: &str) -> Option<f64> {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = ompss_sweep::parse_jobs_flag(&mut args);
-    let check = args.iter().any(|a| a == "--check");
-    args.retain(|a| a != "--check");
-    assert!(args.is_empty(), "usage: bench_sim [--jobs N] [--check]");
+    let check =
+        ompss_sweep::cli::parse("usage: bench_sim [--jobs N] [--check]", |a| Ok(a.flag("--check")));
+    let jobs = ompss_sweep::jobs();
 
     println!("bench_sim: {jobs} job(s)");
     let (delay_eps, delay_events) = des_delay_micro();

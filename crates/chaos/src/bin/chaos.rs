@@ -39,66 +39,34 @@
 
 use std::sync::Arc;
 
-use ompss_chaos::{chaos_run, output_of, run_app, topologies, try_run_app, APPS};
+use ompss_apps::scenario::{App, Topology};
+use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_json::Json;
-use ompss_runtime::{FaultClass, FaultPlan, RunError};
+use ompss_runtime::{CounterSnapshot, FaultClass, FaultPlan, RunError, RuntimeConfig, SimDuration};
+use ompss_sweep::cli;
 
-fn parse_list(flag: &str, s: &str) -> Vec<f64> {
-    s.split(',')
-        .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("malformed {flag} entry '{p}'")))
-        .collect()
-}
+/// The rate × seed sweep's topologies: the paper's single-node
+/// multi-GPU setting and its multi-node cluster setting.
+const TOPOLOGIES: [Topology; 2] = [Topology::MultiGpu(2), Topology::Cluster(2)];
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: chaos [--rates r1,r2] [--seeds s1,s2] [--jobs N] [app...]\n       \
-             chaos --node-kill [--kill-points p1,p2] [--jobs N] [app...]\n       \
-             chaos --churn [--jobs N] [app...]\napps: {}",
-            APPS.join(" ")
-        );
-        return;
-    }
-    ompss_sweep::parse_jobs_flag(&mut args);
-    let mut rates: Vec<f64> = vec![0.05, 0.1];
-    let mut seeds: Vec<u64> = vec![1, 2, 3];
-    let mut node_kill = false;
-    let mut churn = false;
-    let mut kill_points: Vec<u64> = vec![20, 45, 70];
-    // Resolved against APPS so the sweep closures capture `&'static str`.
-    let mut named: Vec<&'static str> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rates" => {
-                rates = parse_list("--rates", &it.next().expect("--rates needs a value"));
-            }
-            "--seeds" => {
-                seeds = parse_list("--seeds", &it.next().expect("--seeds needs a value"))
-                    .into_iter()
-                    .map(|v| v as u64)
-                    .collect();
-            }
-            "--node-kill" => node_kill = true,
-            "--churn" => churn = true,
-            "--kill-points" => {
-                kill_points =
-                    parse_list("--kill-points", &it.next().expect("--kill-points needs a value"))
-                        .into_iter()
-                        .map(|v| v as u64)
-                        .collect();
-            }
-            other => {
-                named.push(
-                    *APPS.iter().find(|x| **x == other).unwrap_or_else(|| {
-                        panic!("unknown app '{other}'; expected one of {APPS:?}")
-                    }),
-                );
-            }
-        }
-    }
-    let apps: Vec<&'static str> = if named.is_empty() { APPS.to_vec() } else { named };
+    let usage = format!(
+        "usage: chaos [--rates r1,r2] [--seeds s1,s2] [--jobs N] [app...]\n       \
+         chaos --node-kill [--kill-points p1,p2] [--jobs N] [app...]\n       \
+         chaos --churn [--jobs N] [app...]\napps: {}",
+        App::ALL.map(App::name).join(" ")
+    );
+    let (rates, seeds, node_kill, churn, kill_points, named) = cli::parse(&usage, |a| {
+        Ok((
+            a.list::<f64>("--rates")?.unwrap_or_else(|| vec![0.05, 0.1]),
+            a.list::<u64>("--seeds")?.unwrap_or_else(|| vec![1, 2, 3]),
+            a.flag("--node-kill"),
+            a.flag("--churn"),
+            a.list::<u64>("--kill-points")?.unwrap_or_else(|| vec![20, 45, 70]),
+            a.positionals::<App>()?,
+        ))
+    });
+    let apps = if named.is_empty() { App::ALL.to_vec() } else { named };
 
     if node_kill {
         node_kill_sweep(&apps, &kill_points);
@@ -117,15 +85,13 @@ fn main() {
     let mut tasks: Vec<RunTask> = Vec::new();
     let mut plans: Vec<Arc<FaultPlan>> = Vec::new();
     for &app in &apps {
-        for (_topo, cfg) in topologies() {
-            let ref_cfg = cfg.clone();
-            tasks.push(Box::new(move || run_app(app, ref_cfg)));
+        for topo in TOPOLOGIES {
+            tasks.push(Box::new(move || run_app(app, topo.config())));
             for &rate in &rates {
                 for &seed in &seeds {
                     let plan = Arc::new(FaultPlan::new(seed, rate));
                     plans.push(plan.clone());
-                    let case_cfg = cfg.clone();
-                    tasks.push(Box::new(move || chaos_run(app, case_cfg, plan)));
+                    tasks.push(Box::new(move || chaos_run(app, topo.config(), plan)));
                 }
             }
         }
@@ -138,9 +104,10 @@ fn main() {
     // Aggregate recovery evidence over the whole sweep: every class the
     // runtime recovers from must fire at least once, or the sweep never
     // exercised it.
-    let (mut retries, mut reexec, mut lost, mut dropped) = (0u64, 0u64, 0u64, 0u64);
+    let mut totals =
+        [("am_retries", 0u64), ("tasks_reexecuted", 0), ("devices_lost", 0), ("msgs_dropped", 0)];
     for app in &apps {
-        for (topo, _cfg) in topologies() {
+        for topo in TOPOLOGIES {
             let reference = results.next().expect("one result per queued run");
             let ref_out = output_of(&reference).to_vec();
             for &rate in &rates {
@@ -153,51 +120,35 @@ fn main() {
                     }
                     let rep = run.report.as_ref().expect("ompss app run carries a report");
                     let c = &rep.counters;
-                    retries += c.am_retries;
-                    reexec += c.tasks_reexecuted;
-                    lost += c.devices_lost;
-                    dropped += c.msgs_dropped;
                     let stats = plan.stats();
-                    cases.push(
-                        Json::object()
-                            .field("app", *app)
-                            .field("topology", topo)
-                            .field("rate", rate)
-                            .field("seed", seed)
-                            .field("identical", identical)
-                            .field("injected", stats.total())
-                            .field("device_losses", stats.count(FaultClass::DeviceLoss))
-                            .field("am_retries", c.am_retries)
-                            .field("tasks_reexecuted", c.tasks_reexecuted)
-                            .field("devices_lost", c.devices_lost)
-                            .field("msgs_dropped", c.msgs_dropped),
-                    );
+                    let mut case = Json::object()
+                        .field("app", app.name())
+                        .field("topology", topo.name())
+                        .field("rate", rate)
+                        .field("seed", seed)
+                        .field("identical", identical)
+                        .field("injected", stats.total())
+                        .field("device_losses", stats.count(FaultClass::DeviceLoss));
+                    let recovered =
+                        [c.am_retries, c.tasks_reexecuted, c.devices_lost, c.msgs_dropped];
+                    for ((name, total), n) in totals.iter_mut().zip(recovered) {
+                        *total += n;
+                        case = case.field(name, n);
+                    }
+                    cases.push(case);
                 }
             }
         }
     }
 
-    let mut missing = Vec::new();
-    for (name, n) in [
-        ("am_retries", retries),
-        ("tasks_reexecuted", reexec),
-        ("devices_lost", lost),
-        ("msgs_dropped", dropped),
-    ] {
-        if n == 0 {
-            missing.push(name);
-        }
-    }
+    let missing: Vec<&str> =
+        totals.iter().filter(|(_, n)| *n == 0).map(|(name, _)| *name).collect();
     let report = Json::object()
         .field("tool", "ompss-chaos")
         .field("divergences", divergences as u64)
         .field(
             "recovery_totals",
-            Json::object()
-                .field("am_retries", retries)
-                .field("tasks_reexecuted", reexec)
-                .field("devices_lost", lost)
-                .field("msgs_dropped", dropped),
+            totals.iter().fold(Json::object(), |j, (name, n)| j.field(name, *n)),
         )
         .field("cases", cases);
     println!("{}", report.to_pretty_string().trim_end());
@@ -211,46 +162,42 @@ fn main() {
     }
 }
 
-/// How one planned node-kill case ended. Recovery and a fail-closed
+/// How one planned node-kill or churn case ended. Finishing
+/// bit-identically to the fault-free reference and failing closed with
 /// [`RunError::Exhausted`] are the only acceptable outcomes — wrong
 /// bytes and any other error fail the sweep.
-enum KillOutcome {
-    /// The run completed bit-identically; carries its recovery
-    /// counters `(nodes_lost, relineaged, reconstructed, missed)`.
-    Finished((u64, u64, u64, u64)),
+enum Outcome {
+    /// The run completed bit-identically; carries the grid's named
+    /// counters from its report.
+    Finished(Vec<(&'static str, u64)>),
     /// The run aborted with a recovery-budget/lineage exhaustion.
     FailClosed(String),
     /// Any other failure: a real defect.
     Crashed(String),
 }
 
-/// The whole-node loss grid: app × cluster size × victim slave × kill
-/// instant (a percentage of the fault-free makespan). See the module
-/// docs for the pass criteria.
-fn node_kill_sweep(apps: &[&'static str], points: &[u64]) {
-    use ompss_runtime::{RuntimeConfig, SimDuration};
-    type RefTask = Box<dyn FnOnce() -> (Vec<f32>, u64) + Send>;
-    // The third cluster runs the sharded control plane, so every slave
-    // victim is a shard *owner* homing a slice of the directory: killing
-    // it exercises the master's re-homing path, which must either
-    // restore the bytes or fail closed.
-    let clusters: [(&'static str, u32, bool); 3] =
-        [("cluster2", 2, false), ("cluster3", 3, false), ("cluster3_sharded", 3, true)];
-    let cluster_cfg = |nodes: u32, sharded: bool| {
-        let cfg = RuntimeConfig::gpu_cluster(nodes);
-        if sharded {
-            cfg.with_sharded_control(nodes)
-        } else {
-            cfg
-        }
-    };
+/// The counters a grid reports for each finished case.
+type CounterPick = fn(&CounterSnapshot) -> Vec<(&'static str, u64)>;
 
-    // Phase 1: fault-free references (output bytes + makespan).
+/// A planned-membership grid (node kills or churn) over app ×
+/// topology × case. Phase 1 runs each app × topology fault-free for a
+/// reference (output bytes + makespan); phase 2 runs every case
+/// `plan(topology config, makespan ns)` yields for it and classifies
+/// the result against that reference. Both phases fan out across
+/// `--jobs` threads; cases come back labelled in grid order.
+fn run_grid<K: Copy + Send + 'static>(
+    apps: &[App],
+    topologies: &[(&'static str, Topology)],
+    cases: impl Fn(Topology) -> Vec<K>,
+    plan: fn(RuntimeConfig, K, u64) -> RuntimeConfig,
+    pick: CounterPick,
+) -> Vec<(App, &'static str, K, Outcome)> {
+    type RefTask = Box<dyn FnOnce() -> (Vec<f32>, u64) + Send>;
     let mut ref_tasks: Vec<RefTask> = Vec::new();
     for &app in apps {
-        for &(_, nodes, sharded) in &clusters {
+        for &(_, topo) in topologies {
             ref_tasks.push(Box::new(move || {
-                let run = run_app(app, cluster_cfg(nodes, sharded));
+                let run = run_app(app, topo.config());
                 let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
                 (output_of(&run).to_vec(), makespan)
             }));
@@ -258,97 +205,159 @@ fn node_kill_sweep(apps: &[&'static str], points: &[u64]) {
     }
     let mut refs = ompss_sweep::run_jobs(ompss_sweep::jobs(), ref_tasks).into_iter();
 
-    // Phase 2: one kill case per (app, cluster, victim, point). Each
-    // case classifies itself against its captured reference, so the
-    // grid still fans out across `--jobs` threads. Outcomes are sorted
-    // by `RunError` variant — `Exhausted` is the fail-closed budget
-    // abort, anything else a defect — not by grepping panic strings.
-    let mut kill_tasks: Vec<Box<dyn FnOnce() -> KillOutcome + Send>> = Vec::new();
-    let mut grid: Vec<(&'static str, &'static str, u32, u64)> = Vec::new();
+    // Outcomes are sorted by `RunError` variant — `Exhausted` is the
+    // fail-closed budget abort, anything else a defect — not by
+    // grepping panic strings.
+    let mut tasks: Vec<Box<dyn FnOnce() -> Outcome + Send>> = Vec::new();
+    let mut grid = Vec::new();
     for &app in apps {
-        for &(topo, nodes, sharded) in &clusters {
-            let (expect, makespan) = refs.next().expect("one reference per app x cluster");
-            let expect = std::sync::Arc::new(expect);
-            for victim in 1..nodes {
-                for &pct in points {
-                    grid.push((app, topo, victim, pct));
-                    let expect = expect.clone();
-                    let at = SimDuration::from_nanos(makespan * pct / 100);
-                    kill_tasks.push(Box::new(move || {
-                        let cfg = cluster_cfg(nodes, sharded).with_node_loss(victim, at);
-                        match try_run_app(app, cfg) {
-                            Ok(run) => {
-                                let c = &run.report.as_ref().expect("report").counters;
-                                let counters = (
-                                    c.nodes_lost,
-                                    c.tasks_relineaged,
-                                    c.bytes_reconstructed,
-                                    c.heartbeats_missed,
-                                );
-                                if output_of(&run) == expect.as_slice() {
-                                    KillOutcome::Finished(counters)
-                                } else {
-                                    KillOutcome::Crashed("output diverged".into())
-                                }
-                            }
-                            Err(e @ RunError::Exhausted { .. }) => {
-                                KillOutcome::FailClosed(e.to_string())
-                            }
-                            Err(e) => KillOutcome::Crashed(e.to_string()),
+        for &(label, topo) in topologies {
+            let (expect, makespan) = refs.next().expect("one reference per app x topology");
+            let expect = Arc::new(expect);
+            for case in cases(topo) {
+                grid.push((app, label, case));
+                let expect = expect.clone();
+                tasks.push(Box::new(move || {
+                    match app.try_run(plan(topo.config(), case, makespan)) {
+                        Ok(run) if output_of(&run) == expect.as_slice() => {
+                            Outcome::Finished(pick(&run.report.as_ref().expect("report").counters))
                         }
-                    }));
-                }
+                        Ok(_) => Outcome::Crashed("output diverged".into()),
+                        Err(e @ RunError::Exhausted { .. }) => Outcome::FailClosed(e.to_string()),
+                        Err(e) => Outcome::Crashed(e.to_string()),
+                    }
+                }));
             }
         }
     }
-    let results = ompss_sweep::run_jobs(ompss_sweep::jobs(), kill_tasks);
+    let results = ompss_sweep::run_jobs(ompss_sweep::jobs(), tasks);
+    grid.into_iter().zip(results).map(|((app, label, case), o)| (app, label, case, o)).collect()
+}
 
-    let mut cases = Json::array();
-    let (mut recovered, mut fail_closed, mut failures) = (0u64, 0u64, 0u64);
-    let (mut relineaged, mut reconstructed) = (0u64, 0u64);
-    for ((app, topo, victim, pct), outcome) in grid.into_iter().zip(results) {
-        let mut case = Json::object()
-            .field("app", app)
-            .field("topology", topo)
-            .field("victim", victim as u64)
-            .field("kill_percent", pct);
-        case = match outcome {
-            KillOutcome::Finished((lost, rel, bytes, missed)) => {
-                recovered += 1;
-                relineaged += rel;
-                reconstructed += bytes;
-                case.field("outcome", "recovered")
-                    .field("nodes_lost", lost)
-                    .field("tasks_relineaged", rel)
-                    .field("bytes_reconstructed", bytes)
-                    .field("heartbeats_missed", missed)
-            }
-            KillOutcome::FailClosed(msg) => {
-                fail_closed += 1;
-                case.field("outcome", "fail_closed").field("error", msg)
-            }
-            KillOutcome::Crashed(msg) => {
-                failures += 1;
-                case.field("outcome", "FAILURE").field("error", msg)
-            }
+/// A grid's report: per-case JSON plus outcome and counter totals.
+struct Tally {
+    finished_as: &'static str,
+    cases: Json,
+    finished: u64,
+    fail_closed: u64,
+    failures: u64,
+    sums: Vec<(&'static str, u64)>,
+}
+
+impl Tally {
+    /// Fold labelled outcomes into a tally; finished cases are tagged
+    /// `finished_as` and list their counters.
+    fn new(
+        outcomes: impl IntoIterator<Item = (Json, Outcome)>,
+        finished_as: &'static str,
+    ) -> Tally {
+        let mut t = Tally {
+            finished_as,
+            cases: Json::array(),
+            finished: 0,
+            fail_closed: 0,
+            failures: 0,
+            sums: Vec::new(),
         };
-        cases.push(case);
+        for (case, outcome) in outcomes {
+            let case = match outcome {
+                Outcome::Finished(counters) => {
+                    t.finished += 1;
+                    let mut case = case.field("outcome", finished_as);
+                    for (name, n) in counters {
+                        match t.sums.iter_mut().find(|(k, _)| *k == name) {
+                            Some((_, sum)) => *sum += n,
+                            None => t.sums.push((name, n)),
+                        }
+                        case = case.field(name, n);
+                    }
+                    case
+                }
+                Outcome::FailClosed(msg) => {
+                    t.fail_closed += 1;
+                    case.field("outcome", "fail_closed").field("error", msg)
+                }
+                Outcome::Crashed(msg) => {
+                    t.failures += 1;
+                    case.field("outcome", "FAILURE").field("error", msg)
+                }
+            };
+            t.cases.push(case);
+        }
+        t
     }
 
-    let report = Json::object()
-        .field("tool", "ompss-chaos")
-        .field("mode", "node-kill")
-        .field(
-            "totals",
-            Json::object()
-                .field("recovered", recovered)
-                .field("fail_closed", fail_closed)
-                .field("failures", failures)
-                .field("tasks_relineaged", relineaged)
-                .field("bytes_reconstructed", reconstructed),
-        )
-        .field("cases", cases);
-    println!("{}", report.to_pretty_string().trim_end());
+    fn sum(&self, name: &str) -> u64 {
+        self.sums.iter().find(|(k, _)| *k == name).map_or(0, |(_, n)| *n)
+    }
+
+    /// The report: `finished_as`, `fail_closed` and `failures` counts,
+    /// then the sums of the `summed` counters, then the cases.
+    fn print(self, mode: &str, summed: &[&str]) {
+        let mut totals = Json::object()
+            .field(self.finished_as, self.finished)
+            .field("fail_closed", self.fail_closed)
+            .field("failures", self.failures);
+        for name in summed {
+            totals = totals.field(name, self.sum(name));
+        }
+        let report = Json::object()
+            .field("tool", "ompss-chaos")
+            .field("mode", mode)
+            .field("totals", totals)
+            .field("cases", self.cases);
+        println!("{}", report.to_pretty_string().trim_end());
+    }
+}
+
+fn at_percent(makespan: u64, pct: u64) -> SimDuration {
+    SimDuration::from_nanos(makespan * pct / 100)
+}
+
+/// The whole-node loss grid: app × cluster size × victim slave × kill
+/// instant (a percentage of the fault-free makespan). See the module
+/// docs for the pass criteria.
+fn node_kill_sweep(apps: &[App], points: &[u64]) {
+    // The third cluster runs the sharded control plane, so every slave
+    // victim is a shard *owner* homing a slice of the directory: killing
+    // it exercises the master's re-homing path, which must either
+    // restore the bytes or fail closed.
+    let clusters = [
+        ("cluster2", Topology::Cluster(2)),
+        ("cluster3", Topology::Cluster(3)),
+        ("cluster3_sharded", Topology::ClusterSharded(3)),
+    ];
+    let grid = run_grid(
+        apps,
+        &clusters,
+        |topo| {
+            (1..topo.nodes())
+                .flat_map(|victim| points.iter().map(move |&pct| (victim, pct)))
+                .collect()
+        },
+        |cfg, (victim, pct), makespan| cfg.with_node_loss(victim, at_percent(makespan, pct)),
+        |c| {
+            vec![
+                ("nodes_lost", c.nodes_lost),
+                ("tasks_relineaged", c.tasks_relineaged),
+                ("bytes_reconstructed", c.bytes_reconstructed),
+                ("heartbeats_missed", c.heartbeats_missed),
+            ]
+        },
+    );
+    let tally = Tally::new(
+        grid.into_iter().map(|(app, topo, (victim, pct), outcome)| {
+            let case = Json::object()
+                .field("app", app.name())
+                .field("topology", topo)
+                .field("victim", victim as u64)
+                .field("kill_percent", pct);
+            (case, outcome)
+        }),
+        "recovered",
+    );
+    let (failures, recovered) = (tally.failures, tally.finished);
+    tally.print("node-kill", &["tasks_relineaged", "bytes_reconstructed"]);
     if failures > 0 {
         eprintln!("chaos --node-kill: {failures} case(s) crashed or produced wrong bytes");
         std::process::exit(1);
@@ -359,27 +368,15 @@ fn node_kill_sweep(apps: &[&'static str], points: &[u64]) {
     }
 }
 
-/// How one churn cell ended. Finishing bit-identically to the static
-/// reference and failing closed with [`RunError::Exhausted`] are the
-/// only acceptable outcomes — wrong bytes and any other error fail the
-/// sweep.
-enum ChurnOutcome {
-    /// Bit-identical finish; carries `(nodes_joined, nodes_drained,
-    /// regions_rebalanced, bytes_migrated, nodes_lost)`.
-    Finished((u64, u64, u64, u64, u64)),
-    FailClosed(String),
-    Crashed(String),
-}
+/// One churn scenario: name, join %, drain %, (kill victim, kill %).
+type Scenario = (&'static str, Option<u64>, Option<u64>, Option<(u32, u64)>);
 
 /// The elastic-membership grid: app × {flat, sharded} three-node
 /// cluster × churn scenario. Node 2 is the elastic member throughout;
 /// the two kill scenarios race a crash against its drain (the drainee
 /// itself, then bystander node 1). Instants are fractions of the
 /// static fault-free makespan so every event lands mid-run.
-fn churn_sweep(apps: &[&'static str]) {
-    use ompss_runtime::{RuntimeConfig, SimDuration};
-    // (name, join %, drain %, (kill victim, kill %)).
-    type Scenario = (&'static str, Option<u64>, Option<u64>, Option<(u32, u64)>);
+fn churn_sweep(apps: &[App]) {
     const SCENARIOS: [Scenario; 5] = [
         ("join", Some(25), None, None),
         ("drain", None, Some(45), None),
@@ -387,130 +384,50 @@ fn churn_sweep(apps: &[&'static str]) {
         ("drain_then_kill", None, Some(40), Some((2, 45))),
         ("kill_other_during_drain", None, Some(40), Some((1, 45))),
     ];
-    let planes: [(&'static str, bool); 2] = [("cluster3", false), ("cluster3_sharded", true)];
-    let cluster_cfg = |sharded: bool| {
-        let cfg = RuntimeConfig::gpu_cluster(3);
-        if sharded {
-            cfg.with_sharded_control(3)
-        } else {
+    let planes =
+        [("cluster3", Topology::Cluster(3)), ("cluster3_sharded", Topology::ClusterSharded(3))];
+    const COUNTERS: [&str; 5] =
+        ["nodes_joined", "nodes_drained", "regions_rebalanced", "bytes_migrated", "nodes_lost"];
+    let grid = run_grid(
+        apps,
+        &planes,
+        |_| SCENARIOS.to_vec(),
+        |mut cfg, (_, join, drain, kill): Scenario, makespan| {
+            if let Some(pct) = join {
+                cfg = cfg.with_node_join(2, at_percent(makespan, pct));
+            }
+            if let Some(pct) = drain {
+                cfg = cfg.with_node_drain(2, at_percent(makespan, pct));
+            }
+            if let Some((victim, pct)) = kill {
+                cfg = cfg.with_node_loss(victim, at_percent(makespan, pct));
+            }
             cfg
-        }
-    };
-
-    // Phase 1: static references (output bytes + makespan).
-    type RefTask = Box<dyn FnOnce() -> (Vec<f32>, u64) + Send>;
-    let mut ref_tasks: Vec<RefTask> = Vec::new();
-    for &app in apps {
-        for &(_, sharded) in &planes {
-            ref_tasks.push(Box::new(move || {
-                let run = run_app(app, cluster_cfg(sharded));
-                let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
-                (output_of(&run).to_vec(), makespan)
-            }));
-        }
-    }
-    let mut refs = ompss_sweep::run_jobs(ompss_sweep::jobs(), ref_tasks).into_iter();
-
-    // Phase 2: one run per cell, classified against its reference.
-    let mut cell_tasks: Vec<Box<dyn FnOnce() -> ChurnOutcome + Send>> = Vec::new();
-    let mut grid: Vec<(&'static str, &'static str, &'static str)> = Vec::new();
-    for &app in apps {
-        for &(plane, sharded) in &planes {
-            let (expect, makespan) = refs.next().expect("one reference per app x plane");
-            let expect = std::sync::Arc::new(expect);
-            for &(name, join, drain, kill) in &SCENARIOS {
-                grid.push((app, plane, name));
-                let expect = expect.clone();
-                let at = move |pct: u64| SimDuration::from_nanos(makespan * pct / 100);
-                cell_tasks.push(Box::new(move || {
-                    let mut cfg = cluster_cfg(sharded);
-                    if let Some(pct) = join {
-                        cfg = cfg.with_node_join(2, at(pct));
-                    }
-                    if let Some(pct) = drain {
-                        cfg = cfg.with_node_drain(2, at(pct));
-                    }
-                    if let Some((victim, pct)) = kill {
-                        cfg = cfg.with_node_loss(victim, at(pct));
-                    }
-                    match try_run_app(app, cfg) {
-                        Ok(run) => {
-                            let c = &run.report.as_ref().expect("report").counters;
-                            let counters = (
-                                c.nodes_joined,
-                                c.nodes_drained,
-                                c.regions_rebalanced,
-                                c.bytes_migrated,
-                                c.nodes_lost,
-                            );
-                            if output_of(&run) == expect.as_slice() {
-                                ChurnOutcome::Finished(counters)
-                            } else {
-                                ChurnOutcome::Crashed("output diverged".into())
-                            }
-                        }
-                        Err(e @ RunError::Exhausted { .. }) => {
-                            ChurnOutcome::FailClosed(e.to_string())
-                        }
-                        Err(e) => ChurnOutcome::Crashed(e.to_string()),
-                    }
-                }));
-            }
-        }
-    }
-    let results = ompss_sweep::run_jobs(ompss_sweep::jobs(), cell_tasks);
-
-    let mut cases = Json::array();
-    let (mut identical, mut fail_closed, mut failures) = (0u64, 0u64, 0u64);
-    let (mut joined, mut drained, mut rebalanced, mut migrated, mut lost) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for ((app, plane, scenario), outcome) in grid.into_iter().zip(results) {
-        let mut case =
-            Json::object().field("app", app).field("topology", plane).field("scenario", scenario);
-        case = match outcome {
-            ChurnOutcome::Finished((j, d, r, b, l)) => {
-                identical += 1;
-                joined += j;
-                drained += d;
-                rebalanced += r;
-                migrated += b;
-                lost += l;
-                case.field("outcome", "identical")
-                    .field("nodes_joined", j)
-                    .field("nodes_drained", d)
-                    .field("regions_rebalanced", r)
-                    .field("bytes_migrated", b)
-                    .field("nodes_lost", l)
-            }
-            ChurnOutcome::FailClosed(msg) => {
-                fail_closed += 1;
-                case.field("outcome", "fail_closed").field("error", msg)
-            }
-            ChurnOutcome::Crashed(msg) => {
-                failures += 1;
-                case.field("outcome", "FAILURE").field("error", msg)
-            }
-        };
-        cases.push(case);
-    }
-
-    let report = Json::object()
-        .field("tool", "ompss-chaos")
-        .field("mode", "churn")
-        .field(
-            "totals",
-            Json::object()
-                .field("identical", identical)
-                .field("fail_closed", fail_closed)
-                .field("failures", failures)
-                .field("nodes_joined", joined)
-                .field("nodes_drained", drained)
-                .field("regions_rebalanced", rebalanced)
-                .field("bytes_migrated", migrated)
-                .field("nodes_lost", lost),
-        )
-        .field("cases", cases);
-    println!("{}", report.to_pretty_string().trim_end());
+        },
+        |c| {
+            let values = [
+                c.nodes_joined,
+                c.nodes_drained,
+                c.regions_rebalanced,
+                c.bytes_migrated,
+                c.nodes_lost,
+            ];
+            COUNTERS.into_iter().zip(values).collect()
+        },
+    );
+    let tally = Tally::new(
+        grid.into_iter().map(|(app, plane, (scenario, ..), outcome)| {
+            let case = Json::object()
+                .field("app", app.name())
+                .field("topology", plane)
+                .field("scenario", scenario);
+            (case, outcome)
+        }),
+        "identical",
+    );
+    let (failures, joined, drained) =
+        (tally.failures, tally.sum("nodes_joined"), tally.sum("nodes_drained"));
+    tally.print("churn", &COUNTERS);
     if failures > 0 {
         eprintln!("chaos --churn: {failures} case(s) crashed or produced wrong bytes");
         std::process::exit(1);

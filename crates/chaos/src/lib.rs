@@ -16,63 +16,23 @@
 use std::sync::Arc;
 
 use ompss_apps::common::AppRun;
-use ompss_apps::matmul::ompss::InitMode;
-use ompss_apps::matmul::{self, MatmulParams};
-use ompss_apps::nbody::{self, NbodyParams};
-use ompss_apps::perlin::{self, PerlinParams};
-use ompss_apps::stream::{self, StreamParams};
-use ompss_runtime::{FaultPlan, RunError, RuntimeConfig};
+use ompss_apps::scenario::App;
+use ompss_runtime::{FaultPlan, RuntimeConfig};
 
-/// The applications the sweep covers.
-pub const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
-
-/// Run one application at validation scale (real byte backing, output
-/// returned in `check`) under `cfg`, surfacing the structured
-/// [`RunError`] — the form harnesses match on (`is_retryable`, variant
-/// classification) instead of parsing panic strings.
-pub fn try_run_app(name: &str, cfg: RuntimeConfig) -> Result<AppRun, RunError> {
-    match name {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'"),
-    }
+/// Run `app` at validation scale under `cfg`, panicking with the
+/// error's `Display` on failure — for call sites that treat any
+/// failure as fatal.
+pub fn run_app(app: App, cfg: RuntimeConfig) -> AppRun {
+    app.try_run(cfg).unwrap_or_else(|e| panic!("{app}: {e}"))
 }
 
-/// Like [`try_run_app`] but panicking with the error's `Display` on
-/// failure — for call sites that treat any failure as fatal.
-pub fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
-    try_run_app(name, cfg).unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
-/// The two topologies the sweep exercises: the paper's single-node
-/// multi-GPU setting and its multi-node cluster setting.
-pub fn topologies() -> [(&'static str, RuntimeConfig); 2] {
-    [("multi_gpu", RuntimeConfig::multi_gpu(2)), ("cluster", RuntimeConfig::gpu_cluster(2))]
-}
-
-/// Raise the retry budgets for probabilistic sweeps: at moderate rates
-/// a message can be unlucky several times in a row, and the sweep
-/// asserts recovery, not budget tuning. (The pinned defect-class tests
-/// keep the default budgets.)
-pub fn with_big_budgets(cfg: RuntimeConfig) -> RuntimeConfig {
-    cfg.with_task_retry_budget(8).with_am_retry_budget(16)
-}
-
-/// Chaos run of `app` on `cfg` under an explicit `plan`, with budgets
-/// raised.
-pub fn chaos_run(app: &str, cfg: RuntimeConfig, plan: Arc<FaultPlan>) -> AppRun {
-    run_app(app, with_big_budgets(cfg.with_fault_plan(plan)))
-}
-
-/// Fallible [`chaos_run`]: same raised budgets, structured error out.
-pub fn try_chaos_run(
-    app: &str,
-    cfg: RuntimeConfig,
-    plan: Arc<FaultPlan>,
-) -> Result<AppRun, RunError> {
-    try_run_app(app, with_big_budgets(cfg.with_fault_plan(plan)))
+/// Chaos run of `app` on `cfg` under an explicit `plan`. Retry budgets
+/// are raised for probabilistic sweeps: at moderate rates a message
+/// can be unlucky several times in a row, and the sweep asserts
+/// recovery, not budget tuning. (The pinned defect-class tests keep
+/// the default budgets.)
+pub fn chaos_run(app: App, cfg: RuntimeConfig, plan: Arc<FaultPlan>) -> AppRun {
+    run_app(app, cfg.with_fault_plan(plan).with_task_retry_budget(8).with_am_retry_budget(16))
 }
 
 /// Fetch the validation output of a run, which validation-scale app

@@ -9,7 +9,8 @@
 //! racing kill strands, and any lost or doubled work shows up as a
 //! byte diff against the static reference.
 
-use ompss_chaos::{output_of, run_app, try_run_app};
+use ompss_apps::scenario::App;
+use ompss_chaos::{output_of, run_app};
 use ompss_runtime::{RunError, RuntimeConfig, SimDuration};
 
 fn sharded3() -> RuntimeConfig {
@@ -19,7 +20,7 @@ fn sharded3() -> RuntimeConfig {
 /// Static reference: output bytes and makespan (churn instants are
 /// fractions of it so they land inside the run).
 fn reference(cfg: &RuntimeConfig) -> (Vec<f32>, u64) {
-    let run = run_app("perlin", cfg.clone());
+    let run = run_app(App::Perlin, cfg.clone());
     let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
     (output_of(&run).to_vec(), makespan)
 }
@@ -32,7 +33,7 @@ fn at(makespan: u64, percent: u64) -> SimDuration {
 fn planned_drain_is_bit_identical_to_the_static_run() {
     let cfg = sharded3();
     let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_drain(2, at(makespan, 45)));
+    let run = run_app(App::Perlin, cfg.with_node_drain(2, at(makespan, 45)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_drained, 1, "the drain must actually fire");
     assert_eq!(rep.counters.nodes_lost, 0, "a drain is not a fault");
@@ -44,7 +45,7 @@ fn planned_drain_is_bit_identical_to_the_static_run() {
 fn planned_join_is_bit_identical_to_the_static_run() {
     let cfg = sharded3();
     let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_join(2, at(makespan, 25)));
+    let run = run_app(App::Perlin, cfg.with_node_join(2, at(makespan, 25)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_joined, 1, "the join must actually fire");
     assert_eq!(output_of(&run), expect.as_slice(), "an elastic join never changes bytes");
@@ -60,7 +61,7 @@ fn kill_racing_the_drain_never_serves_wrong_bytes() {
     let cfg = sharded3();
     let (expect, makespan) = reference(&cfg);
     let armed = cfg.with_node_drain(2, at(makespan, 40)).with_node_loss(2, at(makespan, 45));
-    match try_run_app("perlin", armed) {
+    match App::Perlin.try_run(armed) {
         Ok(run) => {
             let rep = run.report.as_ref().expect("report");
             assert!(

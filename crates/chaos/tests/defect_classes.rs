@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use ompss_apps::scenario::App;
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
@@ -16,9 +17,9 @@ use ompss_runtime::{
 #[test]
 fn dropped_am_recovered_by_retransmission() {
     let cfg = RuntimeConfig::gpu_cluster(2);
-    let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
+    let reference = output_of(&run_app(App::Stream, cfg.clone())).to_vec();
     let plan = Arc::new(FaultPlan::quiet(11).with_rate(FaultClass::NetDrop, 0.25));
-    let run = chaos_run("stream", cfg, plan.clone());
+    let run = chaos_run(App::Stream, cfg, plan.clone());
     assert!(plan.stats().count(FaultClass::NetDrop) >= 1, "the plan never dropped a message");
     let rep = run.report.as_ref().expect("report");
     assert!(rep.counters.am_retries >= 1, "a dropped control message must be retransmitted");
@@ -28,9 +29,9 @@ fn dropped_am_recovered_by_retransmission() {
 #[test]
 fn duplicated_am_deduplicated() {
     let cfg = RuntimeConfig::gpu_cluster(2);
-    let reference = run_app("stream", cfg.clone());
+    let reference = run_app(App::Stream, cfg.clone());
     let plan = Arc::new(FaultPlan::quiet(5).with_rate(FaultClass::NetDup, 0.5));
-    let run = chaos_run("stream", cfg, plan.clone());
+    let run = chaos_run(App::Stream, cfg, plan.clone());
     assert!(plan.stats().count(FaultClass::NetDup) >= 1, "the plan never duplicated a message");
     let rep = run.report.as_ref().expect("report");
     let ref_rep = reference.report.as_ref().expect("report");
@@ -41,9 +42,9 @@ fn duplicated_am_deduplicated() {
 #[test]
 fn kernel_failure_reexecuted_once() {
     let cfg = RuntimeConfig::multi_gpu(2);
-    let reference = output_of(&run_app("matmul", cfg.clone())).to_vec();
+    let reference = output_of(&run_app(App::Matmul, cfg.clone())).to_vec();
     let plan = Arc::new(FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1));
-    let run = chaos_run("matmul", cfg, plan);
+    let run = chaos_run(App::Matmul, cfg, plan);
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.tasks_reexecuted, 1, "exactly the forced failure re-executes");
     assert_eq!(output_of(&run), reference.as_slice(), "recovery must be lossless");
@@ -52,9 +53,9 @@ fn kernel_failure_reexecuted_once() {
 #[test]
 fn device_loss_migrates_queued_work() {
     let cfg = RuntimeConfig::multi_gpu(2);
-    let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
+    let reference = output_of(&run_app(App::Stream, cfg.clone())).to_vec();
     let plan = Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1));
-    let run = chaos_run("stream", cfg, plan);
+    let run = chaos_run(App::Stream, cfg, plan);
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.devices_lost, 1, "the forced loss takes one device");
     assert_eq!(output_of(&run), reference.as_slice(), "migration must be lossless");

@@ -9,6 +9,7 @@
 //! rebuildable from the master's retained lineage regardless of where
 //! the kill lands.
 
+use ompss_apps::scenario::App;
 use ompss_chaos::{output_of, run_app};
 use ompss_runtime::{RuntimeConfig, SimDuration};
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 /// Fault-free reference: output bytes and makespan (the kill instants
 /// are chosen as fractions of it so they land inside the run).
 fn reference(cfg: &RuntimeConfig) -> (Vec<f32>, u64) {
-    let run = run_app("perlin", cfg.clone());
+    let run = run_app(App::Perlin, cfg.clone());
     let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
     (output_of(&run).to_vec(), makespan)
 }
@@ -31,7 +32,7 @@ proptest! {
     fn any_planned_node_loss_recovers_bit_identically(percent in 5u64..=85) {
         let cfg = RuntimeConfig::gpu_cluster(2);
         let (expect, makespan) = reference(&cfg);
-        let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, percent)));
+        let run = run_app(App::Perlin, cfg.with_node_loss(1, kill_at(makespan, percent)));
         let rep = run.report.as_ref().expect("report");
         prop_assert_eq!(rep.counters.nodes_lost, 1, "the kill must be detected");
         prop_assert_eq!(output_of(&run), expect.as_slice(), "recovery must be lossless");
@@ -42,7 +43,7 @@ proptest! {
 fn missed_lease_declares_the_node_dead() {
     let cfg = RuntimeConfig::gpu_cluster(2);
     let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, 40)));
+    let run = run_app(App::Perlin, cfg.with_node_loss(1, kill_at(makespan, 40)));
     let rep = run.report.as_ref().expect("report");
     assert!(
         rep.counters.heartbeats_missed >= 1,
@@ -63,7 +64,7 @@ fn lineage_reexecution_rebuilds_lost_regions() {
     // re-run producers, not just re-fetch surviving copies.
     let cfg = RuntimeConfig::gpu_cluster(2);
     let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, 55)));
+    let run = run_app(App::Perlin, cfg.with_node_loss(1, kill_at(makespan, 55)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 1);
     assert!(
@@ -81,12 +82,12 @@ fn inflight_presend_to_dead_node_is_rerouted() {
     // run; killing the node mid-stream hits transfers on the wire,
     // whose data must be regenerated or rerouted — never half-applied.
     let cfg = RuntimeConfig::gpu_cluster(2).with_presend(4);
-    let probe = run_app("matmul", cfg.clone());
+    let probe = run_app(App::Matmul, cfg.clone());
     let rep = probe.report.as_ref().expect("report");
     assert!(rep.coherence.presend_bytes > 0, "the scenario must actually exercise presend");
     let expect = output_of(&probe).to_vec();
     let makespan = rep.makespan.as_nanos();
-    let run = run_app("matmul", cfg.with_node_loss(1, kill_at(makespan, 50)));
+    let run = run_app(App::Matmul, cfg.with_node_loss(1, kill_at(makespan, 50)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 1);
     assert_eq!(output_of(&run), expect.as_slice(), "rerouted presends must be lossless");
@@ -98,7 +99,7 @@ fn kill_after_completion_is_a_no_op() {
     // byte-identical to the reference even with the machinery armed.
     let cfg = RuntimeConfig::gpu_cluster(2);
     let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, SimDuration::from_nanos(makespan * 10)));
+    let run = run_app(App::Perlin, cfg.with_node_loss(1, SimDuration::from_nanos(makespan * 10)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 0, "no kill, no death");
     assert_eq!(output_of(&run), expect.as_slice());

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ompss_mem::{Access, AllocId, DataId, MemoryManager, Region, SpaceId};
-use ompss_sim::{now, Signal, SimError, SimResult};
+use ompss_sim::{Signal, SimError, SimResult};
 
 use crate::topo::{HopKind, Topology};
 
@@ -831,12 +831,6 @@ impl Coherence {
                 Step::Wait(sig) => sig.wait().await?,
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { kind, from, to, src, dst, bytes, version, done } => {
-                    if std::env::var_os("OMPSS_COH_DEBUG").is_some() {
-                        eprintln!(
-                            "[coh {:.6}s] {region} v{version} hop {from:?}->{to:?} ({kind:?}, {bytes}B) for target {target:?}",
-                            now().as_secs_f64()
-                        );
-                    }
                     let delivered = exec.transfer(kind, purpose, src, dst, bytes).await?;
                     self.finish_hop(
                         region, from, to, kind, purpose, bytes, version, done, false, delivered,

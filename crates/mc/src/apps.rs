@@ -1,36 +1,22 @@
-//! Model-checking harnesses for the shipped applications: one
-//! [`RunOutcome`] runner per app (validation-size parameters on an
+//! Model-checking harnesses for the shipped applications: a
+//! [`RunOutcome`] runner for any [`App`] (validation-size parameters on an
 //! N-node GPU cluster) and the bridge from a recorded run's verify
 //! evidence to an ahead-of-run [`GraphSpec`].
 
-use ompss_apps::matmul::ompss::InitMode;
-use ompss_apps::matmul::{self, MatmulParams};
-use ompss_apps::nbody::{self, NbodyParams};
-use ompss_apps::perlin::{self, PerlinParams};
-use ompss_apps::stream::{self, StreamParams};
-use ompss_runtime::{RunError, RunReport, RuntimeConfig};
+use ompss_apps::scenario::{App, Topology};
+use ompss_runtime::{RunError, RunReport};
 use ompss_verify::Finding;
 
 use crate::explore::RunOutcome;
 use crate::fingerprint;
 use crate::spec::GraphSpec;
 
-/// The apps the checker knows how to drive.
-pub const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
-
 /// Execute `app` once at validation size on an `nodes`-node GPU
 /// cluster and distill the oracle payload. With `verify` on, the run
 /// gathers clause/race evidence and its `ompss-verify` findings ride
 /// along in the outcome.
-pub fn run_once(app: &str, nodes: u32, verify: bool) -> Result<RunOutcome, RunError> {
-    let cfg = RuntimeConfig::gpu_cluster(nodes).with_verify(verify);
-    let run = match app {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'; expected one of {APPS:?}"),
-    }?;
+pub fn run_once(app: App, nodes: u32, verify: bool) -> Result<RunOutcome, RunError> {
+    let run = app.try_run(Topology::Cluster(nodes).config().with_verify(verify))?;
     let report = run.report.as_ref().expect("ompss app runs carry a report");
     let findings = if verify { ompss_verify::validate(report) } else { Vec::new() };
     Ok(RunOutcome { fingerprint: fingerprint(run.check.as_deref(), report.tasks), findings })
@@ -53,15 +39,8 @@ pub fn spec_from_report(report: &RunReport) -> Option<GraphSpec> {
 /// The ahead-of-run pass for one app: a single recording run (default
 /// schedule) captures the declared graph, which is then linted without
 /// executing anything further.
-pub fn static_lints(app: &str, nodes: u32) -> Result<Vec<Finding>, RunError> {
-    let cfg = RuntimeConfig::gpu_cluster(nodes).with_verify(true);
-    let run = match app {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'; expected one of {APPS:?}"),
-    }?;
+pub fn static_lints(app: App, nodes: u32) -> Result<Vec<Finding>, RunError> {
+    let run = app.try_run(Topology::Cluster(nodes).config().with_verify(true))?;
     let report = run.report.as_ref().expect("ompss app runs carry a report");
     Ok(spec_from_report(report).map(|s| s.lint()).unwrap_or_default())
 }
@@ -72,14 +51,14 @@ mod tests {
 
     #[test]
     fn stream_spec_round_trips_clean() {
-        let lints = static_lints("stream", 2).expect("stream runs");
+        let lints = static_lints(App::Stream, 2).expect("stream runs");
         assert!(lints.is_empty(), "{lints:?}");
     }
 
     #[test]
     fn matmul_runs_reproducibly_without_a_controller() {
-        let a = run_once("matmul", 2, false).unwrap();
-        let b = run_once("matmul", 2, false).unwrap();
+        let a = run_once(App::Matmul, 2, false).unwrap();
+        let b = run_once(App::Matmul, 2, false).unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert!(a.findings.is_empty());
     }

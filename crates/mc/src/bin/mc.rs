@@ -16,41 +16,46 @@
 //! run on `--jobs N` host threads and are reported in a fixed order;
 //! any finding (or an under-`--min-interleavings` search) exits 1.
 
+use ompss_apps::scenario::App;
 use ompss_json::Json;
 use ompss_mc::{apps, explore, parse_trace, replay, McConfig, McReport};
+use ompss_sweep::cli::{self, Error};
 use ompss_verify::{report_json, Finding};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptions P] \
-             [--max-interleavings M] [--min-interleavings K] [--no-verify-oracle] \
-             [--jobs N] [--replay TRACE]\napps: {}",
-            apps::APPS.join(" ")
-        );
-        return;
-    }
-    ompss_sweep::parse_jobs_flag(&mut args);
-    let nodes = flag_u64(&mut args, "--nodes").unwrap_or(2) as u32;
+    let usage = format!(
+        "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptions P] \
+         [--max-interleavings M] [--min-interleavings K] [--no-verify-oracle] \
+         [--jobs N] [--replay TRACE]\napps: {}",
+        App::ALL.map(App::name).join(" ")
+    );
     let mut cfg = McConfig::default();
-    if let Some(d) = flag_u64(&mut args, "--depth") {
-        cfg.depth = d as usize;
-    }
-    if let Some(p) = flag_u64(&mut args, "--preemptions") {
-        cfg.preemptions = p as usize;
-    }
-    if let Some(m) = flag_u64(&mut args, "--max-interleavings") {
-        cfg.max_interleavings = m;
-    }
-    let min_interleavings = flag_u64(&mut args, "--min-interleavings").unwrap_or(0);
-    let verify_oracle = !take_flag(&mut args, "--no-verify-oracle");
-    let replay_trace = flag_str(&mut args, "--replay");
-    let selected = parse_apps(&mut args);
+    let (nodes, min_interleavings, verify_oracle, replay_trace, selected) =
+        cli::parse(&usage, |a| {
+            let nodes = a.value::<u32>("--nodes")?.unwrap_or(2);
+            if let Some(d) = a.value("--depth")? {
+                cfg.depth = d;
+            }
+            if let Some(p) = a.value("--preemptions")? {
+                cfg.preemptions = p;
+            }
+            if let Some(m) = a.value("--max-interleavings")? {
+                cfg.max_interleavings = m;
+            }
+            let min_interleavings = a.value::<u64>("--min-interleavings")?.unwrap_or(0);
+            let verify_oracle = !a.flag("--no-verify-oracle");
+            let replay_trace = match a.value::<String>("--replay")? {
+                Some(t) => Some(parse_trace(&t).map_err(Error)?),
+                None => None,
+            };
+            let selected = a.list::<App>("--apps")?.unwrap_or_else(|| App::ALL.to_vec());
+            if replay_trace.is_some() && selected.len() != 1 {
+                return Err(Error("--replay needs exactly one app (--apps NAME)".into()));
+            }
+            Ok((nodes, min_interleavings, verify_oracle, replay_trace, selected))
+        });
 
     if let Some(trace) = replay_trace {
-        let trace = parse_trace(&trace).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(selected.len(), 1, "--replay needs exactly one app (--apps NAME)");
         let app = selected[0];
         match replay(&trace, || apps::run_once(app, nodes, verify_oracle)) {
             Ok(out) => {
@@ -92,7 +97,7 @@ fn main() {
         }));
         let cfg = cfg.clone();
         tasks.push(Box::new(move || {
-            let rep = explore(app, &cfg, || apps::run_once(app, nodes, verify_oracle));
+            let rep = explore(app.name(), &cfg, || apps::run_once(app, nodes, verify_oracle));
             (format!("{app}/mc"), Section::Mc(rep))
         }));
     }
@@ -138,59 +143,4 @@ fn main() {
     if total > 0 || !too_shallow.is_empty() {
         std::process::exit(1);
     }
-}
-
-/// Resolve `--apps a,b` (default: all) against the known app list.
-fn parse_apps(args: &mut Vec<String>) -> Vec<&'static str> {
-    let list = flag_str(args, "--apps");
-    assert!(
-        args.iter().all(|a| !a.starts_with("--")),
-        "unknown flags: {:?}",
-        args.iter().filter(|a| a.starts_with("--")).collect::<Vec<_>>()
-    );
-    let names: Vec<String> = match list {
-        Some(l) => l.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect(),
-        None => return apps::APPS.to_vec(),
-    };
-    names
-        .iter()
-        .map(|a| {
-            *apps::APPS
-                .iter()
-                .find(|x| **x == a.as_str())
-                .unwrap_or_else(|| panic!("unknown app '{a}'; expected one of {:?}", apps::APPS))
-        })
-        .collect()
-}
-
-/// Consume `--name V` / `--name=V` returning the raw value.
-fn flag_str(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let eq = format!("{name}=");
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            out = Some(args.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")).clone());
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix(&eq) {
-            out = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Consume `--name V` / `--name=V` as an integer.
-fn flag_u64(args: &mut Vec<String>, name: &str) -> Option<u64> {
-    flag_str(args, name)
-        .map(|v| v.parse::<u64>().unwrap_or_else(|e| panic!("{name} expects an integer: {e}")))
-}
-
-/// Consume a bare `--name` flag; true when present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != name);
-    args.len() != before
 }

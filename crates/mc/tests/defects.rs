@@ -6,6 +6,7 @@
 //! with a replayable trace.
 #![cfg(mc_defects)]
 
+use ompss_apps::scenario::App;
 use ompss_mc::{apps, explore, parse_trace, replay, McConfig, RunOutcome};
 use ompss_sim::{defects, delay, Signal, Sim, SimDuration};
 use ompss_verify::FindingKind;
@@ -122,7 +123,7 @@ fn wakeup_defect_is_found_with_a_replayable_trace() {
 #[test]
 fn stream_defect_is_caught_by_the_clause_oracle() {
     let _armed = Armed::new("stream");
-    let rep = explore("stream-defect", &budget(8), || apps::run_once("stream", 2, true));
+    let rep = explore("stream-defect", &budget(8), || apps::run_once(App::Stream, 2, true));
     let f = rep
         .findings
         .iter()

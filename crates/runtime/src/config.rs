@@ -11,7 +11,7 @@ use ompss_cudasim::GpuSpec;
 use ompss_mem::Backing;
 use ompss_net::FabricConfig;
 use ompss_sched::Policy;
-use ompss_sim::{FaultPlan, SimDuration};
+use ompss_sim::{FaultPlan, RunError, SimDuration};
 
 pub use ompss_coherence::{CachePolicy, SlaveRouting};
 
@@ -394,128 +394,110 @@ impl RuntimeConfig {
     }
 
     /// Apply `NX_ARGS`-style environment overrides, the way Nanos++ read
-    /// its runtime options. Recognised variables:
-    ///
-    /// | variable | values |
-    /// |---|---|
-    /// | `OMPSS_SCHEDULE` | `bf`, `default`, `affinity` |
-    /// | `OMPSS_CACHE_POLICY` | `nocache`, `wt`, `wb` |
-    /// | `OMPSS_ROUTING` | `mtos`, `stos` |
-    /// | `OMPSS_PRESEND` | integer depth |
-    /// | `OMPSS_OVERLAP` / `OMPSS_PREFETCH` / `OMPSS_TRACE` | `0`/`1` |
-    /// | `OMPSS_VERIFY` | `0`/`1` |
-    /// | `OMPSS_SCHED_SEED` | integer seed (0 = off) |
-    /// | `OMPSS_FAULT_RATE` | float in `[0, 1]` (0 = off) |
-    /// | `OMPSS_FAULT_SEED` | integer seed of the fault stream |
-    /// | `OMPSS_TASK_RETRIES` / `OMPSS_AM_RETRIES` | integer budgets |
-    /// | `OMPSS_FAULT_NODE_LOSS` | `node@micros` planned kill (e.g. `1@800`) |
-    /// | `OMPSS_HEARTBEAT_PERIOD_US` / `OMPSS_LEASE_WINDOW_US` | integers (µs) |
-    /// | `OMPSS_LINEAGE_DEPTH` | integer re-execution budget |
-    /// | `OMPSS_SHARDS` | control-plane shard count (0 = flat master) |
-    /// | `OMPSS_NODE_JOIN` | `node@micros` planned join (e.g. `2@500`) |
-    /// | `OMPSS_NODE_DRAIN` | `node@micros` planned drain (e.g. `1@800`) |
-    ///
-    /// Unknown values panic (a typo silently ignored would invalidate an
-    /// experiment).
-    pub fn overridden_from_env(mut self) -> Self {
-        use std::env;
-        if let Ok(v) = env::var("OMPSS_SCHEDULE") {
-            self.sched_policy = match v.as_str() {
-                "bf" => Policy::BreadthFirst,
-                "default" => Policy::Dependencies,
-                "affinity" => Policy::Affinity,
-                other => panic!("OMPSS_SCHEDULE: unknown policy '{other}'"),
+    /// its runtime options: every variable of [`ENV_OVERRIDES`] that is
+    /// set is applied in table order. A malformed value is an
+    /// [`RunError::InvalidConfig`] naming the variable (a typo silently
+    /// ignored would invalidate an experiment).
+    pub fn overridden_from_env(mut self) -> Result<Self, RunError> {
+        for (name, set) in ENV_OVERRIDES {
+            let applied = match std::env::var(name) {
+                Ok(v) => set(&mut self, &v),
+                Err(std::env::VarError::NotPresent) => Ok(()),
+                Err(e) => Err(e.to_string()),
             };
+            applied.map_err(|e| RunError::InvalidConfig { what: format!("{name}: {e}") })?;
         }
-        if let Ok(v) = env::var("OMPSS_CACHE_POLICY") {
-            self.cache_policy = match v.as_str() {
-                "nocache" => CachePolicy::NoCache,
-                "wt" => CachePolicy::WriteThrough,
-                "wb" => CachePolicy::WriteBack,
-                other => panic!("OMPSS_CACHE_POLICY: unknown policy '{other}'"),
-            };
+        Ok(self)
+    }
+}
+
+/// Applies one environment value to a configuration, or says why the
+/// value is malformed.
+pub type EnvSetter = fn(&mut RuntimeConfig, &str) -> Result<(), String>;
+
+/// The environment overrides [`RuntimeConfig::overridden_from_env`]
+/// reads: variable name and setter.
+pub const ENV_OVERRIDES: [(&str, EnvSetter); 20] = [
+    ("OMPSS_SCHEDULE", |c, v| {
+        let policies = [
+            ("bf", Policy::BreadthFirst),
+            ("default", Policy::Dependencies),
+            ("affinity", Policy::Affinity),
+        ];
+        one_of(v, &policies).map(|p| c.sched_policy = p)
+    }),
+    ("OMPSS_CACHE_POLICY", |c, v| {
+        let policies = [
+            ("nocache", CachePolicy::NoCache),
+            ("wt", CachePolicy::WriteThrough),
+            ("wb", CachePolicy::WriteBack),
+        ];
+        one_of(v, &policies).map(|p| c.cache_policy = p)
+    }),
+    ("OMPSS_ROUTING", |c, v| {
+        let modes = [("mtos", SlaveRouting::ViaMaster), ("stos", SlaveRouting::Direct)];
+        one_of(v, &modes).map(|r| c.routing = r)
+    }),
+    ("OMPSS_PRESEND", |c, v| num(v).map(|n| c.presend = n)),
+    ("OMPSS_OVERLAP", |c, v| one_of(v, &BOOLS).map(|b| c.overlap = b)),
+    ("OMPSS_PREFETCH", |c, v| one_of(v, &BOOLS).map(|b| c.prefetch = b)),
+    ("OMPSS_TRACE", |c, v| one_of(v, &BOOLS).map(|b| c.tracing = b)),
+    ("OMPSS_VERIFY", |c, v| one_of(v, &BOOLS).map(|b| c.verify = b)),
+    // 0 keeps the legacy FIFO tie-break.
+    ("OMPSS_SCHED_SEED", |c, v| num(v).map(|n| c.sched_seed = n)),
+    // 0 (the default) runs fault-free.
+    ("OMPSS_FAULT_RATE", |c, v| match num::<f64>(v)? {
+        rate if (0.0..=1.0).contains(&rate) => {
+            c.fault_rate = rate;
+            Ok(())
         }
-        if let Ok(v) = env::var("OMPSS_ROUTING") {
-            self.routing = match v.as_str() {
-                "mtos" => SlaveRouting::ViaMaster,
-                "stos" => SlaveRouting::Direct,
-                other => panic!("OMPSS_ROUTING: unknown mode '{other}'"),
-            };
+        rate => Err(format!("{rate} is not in [0, 1]")),
+    }),
+    ("OMPSS_FAULT_SEED", |c, v| num(v).map(|n| c.fault_seed = n)),
+    ("OMPSS_TASK_RETRIES", |c, v| num(v).map(|n| c.task_retry_budget = n)),
+    ("OMPSS_AM_RETRIES", |c, v| num(v).map(|n| c.am_retry_budget = n)),
+    ("OMPSS_FAULT_NODE_LOSS", |c, v| node_at(v).map(|p| c.node_loss = Some(p))),
+    ("OMPSS_HEARTBEAT_PERIOD_US", |c, v| {
+        num(v).map(|us| c.heartbeat_period = SimDuration::from_micros(us))
+    }),
+    ("OMPSS_LEASE_WINDOW_US", |c, v| {
+        num(v).map(|us| c.lease_window = SimDuration::from_micros(us))
+    }),
+    ("OMPSS_LINEAGE_DEPTH", |c, v| num(v).map(|n| c.lineage_depth_budget = n)),
+    // 0 keeps the flat single master.
+    ("OMPSS_SHARDS", |c, v| num(v).map(|n| c.shards = n)),
+    ("OMPSS_NODE_JOIN", |c, v| node_at(v).map(|p| c.node_join = Some(p))),
+    ("OMPSS_NODE_DRAIN", |c, v| node_at(v).map(|p| c.node_drain = Some(p))),
+];
+
+const BOOLS: [(&str, bool); 6] =
+    [("1", true), ("true", true), ("on", true), ("0", false), ("false", false), ("off", false)];
+
+fn one_of<T: Copy>(v: &str, options: &[(&str, T)]) -> Result<T, String> {
+    match options.iter().find(|(name, _)| *name == v) {
+        Some(&(_, t)) => Ok(t),
+        None => {
+            let names: Vec<&str> = options.iter().map(|(name, _)| *name).collect();
+            Err(format!("unknown value '{v}'; expected one of {}", names.join(", ")))
         }
-        if let Ok(v) = env::var("OMPSS_PRESEND") {
-            self.presend = v.parse().expect("OMPSS_PRESEND: not an integer");
-        }
-        let flag = |name: &str| -> Option<bool> {
-            env::var(name).ok().map(|v| match v.as_str() {
-                "1" | "true" | "on" => true,
-                "0" | "false" | "off" => false,
-                other => panic!("{name}: expected 0/1, got '{other}'"),
-            })
-        };
-        if let Some(b) = flag("OMPSS_OVERLAP") {
-            self.overlap = b;
-        }
-        if let Some(b) = flag("OMPSS_PREFETCH") {
-            self.prefetch = b;
-        }
-        if let Some(b) = flag("OMPSS_TRACE") {
-            self.tracing = b;
-        }
-        if let Some(b) = flag("OMPSS_VERIFY") {
-            self.verify = b;
-        }
-        if let Ok(v) = env::var("OMPSS_SCHED_SEED") {
-            self.sched_seed = v.parse().expect("OMPSS_SCHED_SEED: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_RATE") {
-            let rate: f64 = v.parse().expect("OMPSS_FAULT_RATE: not a number");
-            assert!((0.0..=1.0).contains(&rate), "OMPSS_FAULT_RATE: must be in [0, 1]");
-            self.fault_rate = rate;
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_SEED") {
-            self.fault_seed = v.parse().expect("OMPSS_FAULT_SEED: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_TASK_RETRIES") {
-            self.task_retry_budget = v.parse().expect("OMPSS_TASK_RETRIES: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_AM_RETRIES") {
-            self.am_retry_budget = v.parse().expect("OMPSS_AM_RETRIES: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_NODE_LOSS") {
-            let (node, micros) =
-                v.split_once('@').expect("OMPSS_FAULT_NODE_LOSS: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_FAULT_NODE_LOSS: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_FAULT_NODE_LOSS: not microseconds");
-            self = self.with_node_loss(node, SimDuration::from_micros(micros));
-        }
-        if let Ok(v) = env::var("OMPSS_HEARTBEAT_PERIOD_US") {
-            self.heartbeat_period = SimDuration::from_micros(
-                v.parse().expect("OMPSS_HEARTBEAT_PERIOD_US: not an integer"),
-            );
-        }
-        if let Ok(v) = env::var("OMPSS_LEASE_WINDOW_US") {
-            self.lease_window =
-                SimDuration::from_micros(v.parse().expect("OMPSS_LEASE_WINDOW_US: not an integer"));
-        }
-        if let Ok(v) = env::var("OMPSS_LINEAGE_DEPTH") {
-            self.lineage_depth_budget = v.parse().expect("OMPSS_LINEAGE_DEPTH: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_SHARDS") {
-            self.shards = v.parse().expect("OMPSS_SHARDS: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_NODE_JOIN") {
-            let (node, micros) = v.split_once('@').expect("OMPSS_NODE_JOIN: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_NODE_JOIN: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_NODE_JOIN: not microseconds");
-            self = self.with_node_join(node, SimDuration::from_micros(micros));
-        }
-        if let Ok(v) = env::var("OMPSS_NODE_DRAIN") {
-            let (node, micros) = v.split_once('@').expect("OMPSS_NODE_DRAIN: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_NODE_DRAIN: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_NODE_DRAIN: not microseconds");
-            self = self.with_node_drain(node, SimDuration::from_micros(micros));
-        }
-        self
+    }
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("invalid number '{v}': {e}"))
+}
+
+/// Parse a planned membership event `node@micros` (e.g. `1@800`). Node
+/// 0 is the master, which can be neither killed, joined nor drained.
+fn node_at(v: &str) -> Result<(u32, SimDuration), String> {
+    let (node, micros) =
+        v.split_once('@').ok_or_else(|| format!("expected node@micros, got '{v}'"))?;
+    match num(node)? {
+        0 => Err("node 0 is the master; name a slave node".into()),
+        node => Ok((node, SimDuration::from_micros(num(micros)?))),
     }
 }
 

@@ -539,14 +539,6 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
             }
         };
         let rec = shared.record(tid);
-        if std::env::var_os("OMPSS_RT_DEBUG").is_some() {
-            eprintln!(
-                "[rt {:.6}s] node0 gpu runs {} (t{})",
-                now().as_secs_f64(),
-                rec.desc.label,
-                tid.0
-            );
-        }
         // Pick (and start) a prefetch candidate before launching.
         let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
             let t = {
@@ -931,14 +923,6 @@ pub(crate) async fn slave_gpu_manager(
             }
         };
         let rec = shared.record(tid);
-        if std::env::var_os("OMPSS_RT_DEBUG").is_some() {
-            eprintln!(
-                "[rt {:.6}s] node{node} gpu runs {} (t{})",
-                now().as_secs_f64(),
-                rec.desc.label,
-                tid.0
-            );
-        }
         let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
             let t = { shared.slaves[node as usize].sched.lock().next(res) };
             next = t;

@@ -51,7 +51,7 @@ mod task;
 pub mod trace;
 mod verify;
 
-pub use config::{CachePolicy, RuntimeConfig, SlaveRouting};
+pub use config::{CachePolicy, EnvSetter, RuntimeConfig, SlaveRouting, ENV_OVERRIDES};
 pub use exec::ClusterMsg;
 pub use runtime::{ArrayHandle, Omp, RunReport, Runtime, TaskHandle};
 pub use stats::{CounterSnapshot, Counters, ResourceBusy};

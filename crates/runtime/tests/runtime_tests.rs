@@ -5,7 +5,8 @@
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    CachePolicy, KernelCost, Policy, Runtime, RuntimeConfig, SimDuration, SlaveRouting, TaskSpec,
+    CachePolicy, KernelCost, Policy, RunError, Runtime, RuntimeConfig, SimDuration, SlaveRouting,
+    TaskSpec, ENV_OVERRIDES,
 };
 
 /// A blocked "scale by 2" over a float array on the chosen device.
@@ -482,37 +483,76 @@ fn for_each_block_worksharing_helper() {
     assert_eq!(*sum.lock(), expect);
 }
 
+/// Apply `vars` to the environment, read the overrides, and clear the
+/// variables again before returning (so a failed assertion leaks
+/// nothing into other tests).
+fn env_config(vars: &[(&str, &str)]) -> Result<RuntimeConfig, RunError> {
+    for (k, v) in vars {
+        std::env::set_var(k, v);
+    }
+    let cfg = RuntimeConfig::gpu_cluster(2).overridden_from_env();
+    for (k, _) in vars {
+        std::env::remove_var(k);
+    }
+    cfg
+}
+
 #[test]
 fn env_overrides_parse() {
-    // Serialise env mutation within this test only.
-    std::env::set_var("OMPSS_SCHEDULE", "bf");
-    std::env::set_var("OMPSS_CACHE_POLICY", "nocache");
-    std::env::set_var("OMPSS_ROUTING", "mtos");
-    std::env::set_var("OMPSS_PRESEND", "7");
-    std::env::set_var("OMPSS_OVERLAP", "0");
-    std::env::set_var("OMPSS_TRACE", "1");
-    std::env::set_var("OMPSS_VERIFY", "1");
-    std::env::set_var("OMPSS_SCHED_SEED", "17");
-    let cfg = RuntimeConfig::gpu_cluster(2).overridden_from_env();
+    // One non-default value per row of the table, in table order. Env
+    // mutation stays within this test: nothing else here reads it.
+    let rows = [
+        ("OMPSS_SCHEDULE", "bf"),
+        ("OMPSS_CACHE_POLICY", "nocache"),
+        ("OMPSS_ROUTING", "mtos"),
+        ("OMPSS_PRESEND", "7"),
+        ("OMPSS_OVERLAP", "0"),
+        ("OMPSS_PREFETCH", "off"),
+        ("OMPSS_TRACE", "1"),
+        ("OMPSS_VERIFY", "true"),
+        ("OMPSS_SCHED_SEED", "17"),
+        ("OMPSS_FAULT_RATE", "0.25"),
+        ("OMPSS_FAULT_SEED", "42"),
+        ("OMPSS_TASK_RETRIES", "5"),
+        ("OMPSS_AM_RETRIES", "11"),
+        ("OMPSS_FAULT_NODE_LOSS", "1@800"),
+        ("OMPSS_HEARTBEAT_PERIOD_US", "150"),
+        ("OMPSS_LEASE_WINDOW_US", "900"),
+        ("OMPSS_LINEAGE_DEPTH", "9"),
+        ("OMPSS_SHARDS", "2"),
+        ("OMPSS_NODE_JOIN", "1@500"),
+        ("OMPSS_NODE_DRAIN", "1@700"),
+    ];
+    assert_eq!(rows.map(|(k, _)| k), ENV_OVERRIDES.map(|(k, _)| k), "a table row is untested");
+    let cfg = env_config(&rows).expect("every row parses");
     assert_eq!(cfg.sched_policy, Policy::BreadthFirst);
     assert_eq!(cfg.cache_policy, CachePolicy::NoCache);
     assert_eq!(cfg.routing, SlaveRouting::ViaMaster);
     assert_eq!(cfg.presend, 7);
     assert!(!cfg.overlap);
+    assert!(!cfg.prefetch);
     assert!(cfg.tracing);
     assert!(cfg.verify);
     assert_eq!(cfg.sched_seed, 17);
-    for k in [
-        "OMPSS_SCHEDULE",
-        "OMPSS_CACHE_POLICY",
-        "OMPSS_ROUTING",
-        "OMPSS_PRESEND",
-        "OMPSS_OVERLAP",
-        "OMPSS_TRACE",
-        "OMPSS_VERIFY",
-        "OMPSS_SCHED_SEED",
-    ] {
-        std::env::remove_var(k);
+    assert_eq!(cfg.fault_rate, 0.25);
+    assert_eq!(cfg.fault_seed, 42);
+    assert_eq!(cfg.task_retry_budget, 5);
+    assert_eq!(cfg.am_retry_budget, 11);
+    assert_eq!(cfg.node_loss, Some((1, SimDuration::from_micros(800))));
+    assert_eq!(cfg.heartbeat_period, SimDuration::from_micros(150));
+    assert_eq!(cfg.lease_window, SimDuration::from_micros(900));
+    assert_eq!(cfg.lineage_depth_budget, 9);
+    assert_eq!(cfg.shards, 2);
+    assert_eq!(cfg.node_join, Some((1, SimDuration::from_micros(500))));
+    assert_eq!(cfg.node_drain, Some((1, SimDuration::from_micros(700))));
+
+    // Malformed values and a master-node kill fail closed, naming the
+    // variable, instead of panicking.
+    for bad in [("OMPSS_PRESEND", "seven"), ("OMPSS_FAULT_NODE_LOSS", "0@5")] {
+        match env_config(&[bad]) {
+            Err(RunError::InvalidConfig { what }) => assert!(what.starts_with(bad.0), "{what}"),
+            other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
+        }
     }
 }
 

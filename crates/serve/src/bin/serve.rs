@@ -22,11 +22,13 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ompss_apps::scenario::App;
 use ompss_json::{Json, ToJson};
 use ompss_serve::{
     serve_connection, Event, EventKind, JobSpec, ServeConfig, Server, Sink, AGING_POPS,
     PRIORITY_MAX,
 };
+use ompss_sweep::cli;
 
 /// Soak: the committed peak-RSS ceiling. The daemon's whole point is
 /// bounded memory under overload; blowing this is a failed soak.
@@ -123,13 +125,10 @@ fn soak_sink(log: Arc<Mutex<SoakLog>>) -> Sink {
 /// runs, salted with other apps, cluster topologies, zero deadlines,
 /// faulty-with-retries specs and occasional hopeless fault rates.
 fn soak_spec(i: usize, rng: &mut u64) -> JobSpec {
-    let app = if i % 7 == 3 {
-        ompss_chaos::APPS[xorshift(rng) as usize % ompss_chaos::APPS.len()]
-    } else {
-        "stream"
-    };
+    let app =
+        if i % 7 == 3 { App::ALL[xorshift(rng) as usize % App::ALL.len()] } else { App::Stream };
     let mut j = Json::object()
-        .field("app", app)
+        .field("app", app.name())
         .field("priority", xorshift(rng) % 10)
         .field("tag", format!("soak-{i}"));
     if i % 23 == 11 {
@@ -241,7 +240,9 @@ fn run_soak(n: usize) -> i32 {
             continue;
         }
         let spec = &specs[id];
-        let direct = ompss_chaos::try_run_app(spec.app, spec.config(0))
+        let direct = spec
+            .app
+            .try_run(spec.config(0))
             .unwrap_or_else(|e| panic!("direct re-run of job {id} failed: {e}"));
         let direct_bytes = direct
             .report
@@ -456,50 +457,19 @@ fn main() {
         let thread = std::thread::current().name().unwrap_or("?").to_string();
         eprintln!("serve: panic in {thread}: {info}");
     }));
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = ompss_sweep::parse_jobs_flag(&mut args);
-
-    let mut queue_cap: Option<usize> = None;
-    let mut socket: Option<String> = None;
-    let mut soak: Option<usize> = None;
-    let mut bench = false;
-    let mut check = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queue-cap" => {
-                queue_cap = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--queue-cap needs a positive integer")),
-                );
-                i += 2;
-            }
-            "--socket" => {
-                socket = Some(
-                    args.get(i + 1).unwrap_or_else(|| panic!("--socket needs a path")).clone(),
-                );
-                i += 2;
-            }
-            "--soak" => {
-                let n = args.get(i + 1).and_then(|v| v.parse().ok());
-                soak = Some(n.unwrap_or(500));
-                i += if n.is_some() { 2 } else { 1 };
-            }
-            "--bench" => {
-                bench = true;
-                i += 1;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            other => panic!(
-                "serve: unknown flag '{other}'; usage: serve [--jobs N] [--queue-cap N] \
-                 [--socket PATH | --soak [N] | --bench [--check]]"
-            ),
-        }
-    }
+    let (queue_cap, socket, soak, bench, check) = cli::parse(
+        "usage: serve [--jobs N] [--queue-cap N] [--socket PATH | --soak [N] | --bench [--check]]",
+        |a| {
+            Ok((
+                a.value::<usize>("--queue-cap")?,
+                a.value::<String>("--socket")?,
+                a.optional_value("--soak", 500usize)?,
+                a.flag("--bench"),
+                a.flag("--check"),
+            ))
+        },
+    );
+    let jobs = ompss_sweep::jobs();
 
     let mut cfg = ServeConfig { workers: jobs, ..ServeConfig::default() };
     if let Some(cap) = queue_cap {

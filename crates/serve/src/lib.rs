@@ -23,8 +23,9 @@
 //!   exactly-once terminal event per job enforced structurally.
 //!
 //! Everything observable is deterministic where it can be: a job's
-//! `RunReport` is byte-identical to a direct [`ompss_chaos::try_run_app`]
-//! call with the same configuration, and retry attempt `n` of a faulty
+//! `RunReport` is byte-identical to a direct
+//! [`App::try_run`](ompss_apps::scenario::App::try_run) call with the
+//! same configuration, and retry attempt `n` of a faulty
 //! spec replays exactly (the fault seed is `fault_seed + n`). Only
 //! arrival interleaving — which is the client's, not the server's — is
 //! host-time dependent.
@@ -37,4 +38,4 @@ pub use queue::{Admit, AdmitQueue, QueuedJob, AGING_POPS};
 pub use server::{
     serve_connection, sim_runner, Event, EventKind, RunOutcome, Runner, ServeConfig, Server, Sink,
 };
-pub use spec::{JobSpec, SpecError, Topology, PRIORITY_DEFAULT, PRIORITY_MAX, RETRIES_MAX};
+pub use spec::{JobSpec, SpecError, PRIORITY_DEFAULT, PRIORITY_MAX, RETRIES_MAX};

@@ -14,8 +14,9 @@
 //!   is bounded by `queue_cap` plus one in-flight job per worker.
 //! * **Runs are bit-reproducible.** A worker executes `(spec, attempt)`
 //!   through the same deterministic simulator as a direct
-//!   [`ompss_chaos::try_run_app`] call, so the streamed `RunReport` is
-//!   byte-identical to an offline run of the same spec.
+//!   [`App::try_run`](ompss_apps::scenario::App::try_run) call, so the
+//!   streamed `RunReport` is byte-identical to an offline run of the
+//!   same spec.
 //! * **Degradation is graceful.** Overload sheds lowest-priority work
 //!   with an explicit terminal response; shutdown drains in-flight jobs
 //!   and terminally rejects what was still queued.
@@ -196,12 +197,13 @@ pub struct RunOutcome {
 /// the real simulator; tests inject failure scripts.
 pub type Runner = Arc<dyn Fn(&JobSpec, u32) -> Result<RunOutcome, RunError> + Send + Sync>;
 
-/// The production runner: the same validation-scale app dispatch the
-/// chaos harness uses, so a served job is bit-identical to a direct
-/// [`ompss_chaos::try_run_app`] of the same configuration.
+/// The production runner: the scenario registry's validation-scale
+/// app dispatch every harness uses, so a served job is bit-identical
+/// to a direct [`App::try_run`](ompss_apps::scenario::App::try_run) of
+/// the same configuration.
 pub fn sim_runner() -> Runner {
     Arc::new(|spec, attempt| {
-        let run = ompss_chaos::try_run_app(spec.app, spec.config(attempt))?;
+        let run = spec.app.try_run(spec.config(attempt))?;
         let report = run.report.as_ref().map(|r| r.to_json()).unwrap_or_else(Json::object);
         Ok(RunOutcome { report, metric: run.metric, elapsed_ns: run.elapsed.as_nanos() })
     })

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use ompss_chaos::APPS;
+use ompss_apps::scenario::{App, Topology};
 use ompss_json::Json;
 use ompss_runtime::RuntimeConfig;
 
@@ -24,22 +24,14 @@ pub const PRIORITY_DEFAULT: u8 = 4;
 /// re-runs.
 pub const RETRIES_MAX: u32 = 8;
 
-/// Where a job runs: the paper's two topology families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// One node with `gpus` GPUs.
-    MultiGpu(u32),
-    /// A cluster of `nodes` single-GPU nodes.
-    Cluster(u32),
-}
-
 /// A parsed, validated job request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Which application to run (validation scale), from
-    /// [`ompss_chaos::APPS`].
-    pub app: &'static str,
-    /// Simulated hardware to run it on.
+    /// Which application to run (validation scale).
+    pub app: App,
+    /// Simulated hardware to run it on. The wire format names the
+    /// paper's two families, `multi_gpu` (`gpus`) and `cluster`
+    /// (`nodes`).
     pub topology: Topology,
     /// Base priority, `0..=`[`PRIORITY_MAX`]; higher pops first.
     pub priority: u8,
@@ -109,11 +101,10 @@ impl JobSpec {
         if !matches!(j, Json::Obj(_)) {
             return Err(bad("spec must be a JSON object"));
         }
-        let app_name = str_field(j, "app")?.ok_or_else(|| bad("missing required field 'app'"))?;
-        let app = *APPS
-            .iter()
-            .find(|a| **a == app_name)
-            .ok_or_else(|| bad(format!("unknown app '{app_name}'; expected one of {APPS:?}")))?;
+        let app: App = str_field(j, "app")?
+            .ok_or_else(|| bad("missing required field 'app'"))?
+            .parse()
+            .map_err(bad)?;
 
         let topology = match str_field(j, "topology")?.unwrap_or("multi_gpu") {
             "multi_gpu" => {
@@ -177,10 +168,7 @@ impl JobSpec {
     /// the `(spec, attempt)` pair still names the run exactly, so any
     /// attempt replays bit-for-bit.
     pub fn config(&self, attempt: u32) -> RuntimeConfig {
-        let mut cfg = match self.topology {
-            Topology::MultiGpu(gpus) => RuntimeConfig::multi_gpu(gpus),
-            Topology::Cluster(nodes) => RuntimeConfig::gpu_cluster(nodes),
-        };
+        let mut cfg = self.topology.config();
         if let Some(seed) = self.sched_seed {
             cfg = cfg.with_sched_seed(seed);
         }
@@ -193,15 +181,12 @@ impl JobSpec {
     /// The spec as JSON (echoed in admission responses and used by the
     /// soak harness to re-run a job directly).
     pub fn to_json(&self) -> Json {
-        let mut j = Json::object().field("app", self.app);
-        match self.topology {
-            Topology::MultiGpu(g) => {
-                j = j.field("topology", "multi_gpu").field("gpus", g as u64);
-            }
-            Topology::Cluster(n) => {
-                j = j.field("topology", "cluster").field("nodes", n as u64);
-            }
-        }
+        let mut j =
+            Json::object().field("app", self.app.name()).field("topology", self.topology.name());
+        j = match self.topology {
+            Topology::MultiGpu(g) => j.field("gpus", g as u64),
+            t => j.field("nodes", t.nodes() as u64),
+        };
         j = j.field("priority", self.priority as u64).field("retries", self.retries as u64);
         if let Some(d) = self.deadline_ms {
             j = j.field("deadline_ms", d);
@@ -226,7 +211,7 @@ mod tests {
     #[test]
     fn minimal_spec_fills_defaults() {
         let s = JobSpec::parse(r#"{"app": "stream"}"#).expect("minimal spec parses");
-        assert_eq!(s.app, "stream");
+        assert_eq!(s.app, App::Stream);
         assert_eq!(s.topology, Topology::MultiGpu(2));
         assert_eq!(s.priority, PRIORITY_DEFAULT);
         assert_eq!(s.retries, 0);

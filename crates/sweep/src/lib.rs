@@ -16,13 +16,15 @@
 //! * **Serial fallback.** With one job (or one task) everything runs on
 //!   the calling thread — same code path the repo has always had.
 //!
-//! The job count comes from `--jobs N` flags via [`set_jobs`], from the
+//! The job count comes from the `--jobs N` flag every harness takes
+//! through [`cli`] (which calls [`set_jobs`]), from the
 //! `OMPSS_BENCH_JOBS` environment variable, or defaults to the host's
 //! available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+pub mod cli;
 mod pool;
 
 pub use pool::{CancelToken, WorkerPool};
@@ -127,31 +129,6 @@ where
         .collect()
 }
 
-/// Parse a `--jobs N` flag out of an argument list (mutating it) and
-/// apply it via [`set_jobs`]. Returns the chosen width. Accepts
-/// `--jobs N` and `--jobs=N`.
-pub fn parse_jobs_flag(args: &mut Vec<String>) -> usize {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--jobs" {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--jobs needs a value"))
-                .parse::<usize>()
-                .expect("--jobs expects a positive integer");
-            set_jobs(v);
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            let v = v.parse::<usize>().expect("--jobs expects a positive integer");
-            set_jobs(v);
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    jobs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,16 +164,5 @@ mod tests {
             vec![Box::new(|| 1), Box::new(|| panic!("boom in sweep")), Box::new(|| 3)];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, tasks)));
         assert!(r.is_err(), "sweep must re-raise task panics");
-    }
-
-    #[test]
-    fn parse_jobs_flag_variants() {
-        let mut args = vec!["--jobs".to_string(), "3".to_string(), "app".to_string()];
-        assert_eq!(parse_jobs_flag(&mut args), 3);
-        assert_eq!(args, vec!["app".to_string()]);
-        let mut args = vec!["--jobs=5".to_string()];
-        assert_eq!(parse_jobs_flag(&mut args), 5);
-        assert!(args.is_empty());
-        set_jobs(1); // restore for other tests in this process
     }
 }

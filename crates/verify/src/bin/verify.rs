@@ -23,37 +23,22 @@
 //! job count.
 
 use ompss_apps::common::AppRun;
-use ompss_apps::matmul::ompss::InitMode;
-use ompss_apps::matmul::{self, MatmulParams};
-use ompss_apps::nbody::{self, NbodyParams};
-use ompss_apps::perlin::{self, PerlinParams};
-use ompss_apps::stream::{self, StreamParams};
+use ompss_apps::scenario::{App, Topology};
 use ompss_json::Json;
-use ompss_runtime::{RunError, RuntimeConfig};
+use ompss_runtime::RuntimeConfig;
+use ompss_sweep::cli;
 use ompss_verify::schedule::{self, Observation};
 use ompss_verify::{report_json, validate, Finding};
 
-const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
-
-fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
-    match try_run_app(name, cfg) {
+fn run_app(app: App, cfg: RuntimeConfig) -> AppRun {
+    match app.try_run(cfg) {
         Ok(run) => run,
         Err(e) => {
             // One consistent line per failure class — the RunError
             // Display — and a nonzero exit, not a panic trace.
-            eprintln!("error: {name}: {e}");
+            eprintln!("error: {app}: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-fn try_run_app(name: &str, cfg: RuntimeConfig) -> Result<AppRun, RunError> {
-    match name {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'"),
     }
 }
 
@@ -62,51 +47,33 @@ fn try_run_app(name: &str, cfg: RuntimeConfig) -> Result<AppRun, RunError> {
 /// and the same cluster with the sharded control plane on — so the
 /// shard-homed directory and sub-master expansion face the same
 /// clause/dependence validation as the flat path.
-fn configs() -> [(&'static str, RuntimeConfig); 3] {
-    [
-        ("multi_gpu", RuntimeConfig::multi_gpu(2)),
-        ("cluster", RuntimeConfig::gpu_cluster(2)),
-        ("cluster_sharded", RuntimeConfig::gpu_cluster(2).with_sharded_control(2)),
-    ]
-}
+const TOPOLOGIES: [Topology; 3] =
+    [Topology::MultiGpu(2), Topology::Cluster(2), Topology::ClusterSharded(2)];
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: verify [--all] [--no-schedules] [--jobs N] [--seeds a,b,c] [app...]\napps: {}",
-            APPS.join(" ")
-        );
-        return;
-    }
-    ompss_sweep::parse_jobs_flag(&mut args);
-    let seeds = parse_seeds_flag(&mut args);
-    let schedules = !args.iter().any(|a| a == "--no-schedules");
-    // Resolve names against APPS so the closures below capture
-    // `&'static str`, not borrows of `args`.
-    let named: Vec<&'static str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| {
-            *APPS
-                .iter()
-                .find(|x| **x == a)
-                .unwrap_or_else(|| panic!("unknown app '{a}'; expected one of {APPS:?}"))
-        })
-        .collect();
-    let selected: Vec<&'static str> =
-        if named.is_empty() || args.iter().any(|a| a == "--all") { APPS.to_vec() } else { named };
+    let usage = format!(
+        "usage: verify [--all] [--no-schedules] [--jobs N] [--seeds a,b,c] [app...]\napps: {}",
+        App::ALL.map(App::name).join(" ")
+    );
+    let (all, schedules, seeds, named) = cli::parse(&usage, |a| {
+        Ok((
+            a.flag("--all"),
+            !a.flag("--no-schedules"),
+            a.list::<u64>("--seeds")?.unwrap_or_else(|| schedule::DEFAULT_SEEDS.to_vec()),
+            a.positionals::<App>()?,
+        ))
+    });
+    let selected = if named.is_empty() || all { App::ALL.to_vec() } else { named };
 
     // One sweep task per report section, queued in report order.
     type SectionTask = Box<dyn FnOnce() -> (String, Vec<Finding>) + Send>;
     let mut tasks: Vec<SectionTask> = Vec::new();
     for &app in &selected {
-        for (cfg_name, cfg) in configs() {
+        for topo in TOPOLOGIES {
             tasks.push(Box::new(move || {
-                let run = run_app(app, cfg.with_verify(true));
+                let run = run_app(app, topo.config().with_verify(true));
                 let report = run.report.as_ref().expect("ompss app run carries a report");
-                (format!("{app}/{cfg_name}"), validate(report))
+                (format!("{app}/{}", topo.name()), validate(report))
             }));
         }
         if schedules {
@@ -132,41 +99,13 @@ fn main() {
     }
 }
 
-/// Consume a `--seeds a,b,c` / `--seeds=a,b,c` flag; defaults to
-/// [`schedule::DEFAULT_SEEDS`] when absent.
-fn parse_seeds_flag(args: &mut Vec<String>) -> Vec<u64> {
-    let parse = |v: &str| -> Vec<u64> {
-        let seeds: Vec<u64> = v
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| s.trim().parse::<u64>().expect("--seeds expects comma-separated integers"))
-            .collect();
-        assert!(!seeds.is_empty(), "--seeds needs at least one seed");
-        seeds
-    };
-    let mut seeds = schedule::DEFAULT_SEEDS.to_vec();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--seeds" {
-            seeds = parse(args.get(i + 1).unwrap_or_else(|| panic!("--seeds needs a value")));
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--seeds=") {
-            seeds = parse(v);
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    seeds
-}
-
 /// Rerun `app` on the multi-GPU topology across scheduler seeds and
 /// diff outputs (verification itself stays off: exploration only cares
 /// about the results, and the byte-diff snapshots would slow the extra
 /// runs for nothing).
-fn explore_app(app: &str, seeds: &[u64]) -> Vec<Finding> {
-    schedule::explore(app, seeds, |seed| {
-        let run = try_run_app(app, RuntimeConfig::multi_gpu(2).with_sched_seed(seed))?;
+fn explore_app(app: App, seeds: &[u64]) -> Vec<Finding> {
+    schedule::explore(app.name(), seeds, |seed| {
+        let run = app.try_run(Topology::MultiGpu(2).config().with_sched_seed(seed))?;
         let tasks = run.report.as_ref().map_or(0, |r| r.tasks);
         Ok(Observation { check: run.check, tasks })
     })
