@@ -1,23 +1,26 @@
 //! # ompss-bench — the paper's evaluation, regenerated
 //!
-//! One binary per figure/table of Bueno et al. (IPPS 2012) §IV–V:
+//! One registry, [`figures::ALL`], lists every figure/table of Bueno et
+//! al. (IPPS 2012) §IV–V that `results/` holds; the `all_figures`
+//! binary regenerates all of it, or the ids named on its command line
+//! (`all_figures fig05 fig09`):
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `fig05_matmul_multigpu` | Fig. 5 — matmul, multi-GPU, cache × scheduler |
-//! | `fig06_stream_multigpu` | Fig. 6 — STREAM, multi-GPU, cache × scheduler |
-//! | `fig07_perlin_multigpu` | Fig. 7 — Perlin, multi-GPU, Flush/NoFlush × cache |
-//! | `fig08_nbody_multigpu`  | Fig. 8 — N-Body, multi-GPU, cache policies |
-//! | `fig09_matmul_cluster`  | Fig. 9 — matmul, cluster, StoS × init × presend |
-//! | `fig10_matmul_vs_mpi`   | Fig. 10 — matmul, best OmpSs vs MPI+CUDA |
-//! | `fig11_stream_cluster`  | Fig. 11 — STREAM, cluster, OmpSs vs MPI+CUDA |
-//! | `fig12_perlin_cluster`  | Fig. 12 — Perlin, cluster, Flush/NoFlush |
-//! | `fig13_nbody_cluster`   | Fig. 13 — N-Body, cluster, OmpSs vs MPI+CUDA |
-//! | `table1_productivity`   | Table I — useful lines of code per version |
-//! | `all_figures`           | everything above plus `figWS` (weak scaling, flat vs sharded control plane — beyond the paper), saving JSON to `results/` |
+//! | id | reproduces |
+//! |----|------------|
+//! | `fig05` | Fig. 5 — matmul, multi-GPU, cache × scheduler (+ `fig05_multigpu.prv`/`.row`) |
+//! | `fig06` | Fig. 6 — STREAM, multi-GPU, cache × scheduler |
+//! | `fig07` | Fig. 7 — Perlin, multi-GPU, Flush/NoFlush × cache |
+//! | `fig08` | Fig. 8 — N-Body, multi-GPU, cache policies |
+//! | `fig09` | Fig. 9 — matmul, cluster, StoS × init × presend (+ `fig09_cluster.prv`/`.row`) |
+//! | `fig10` | Fig. 10 — matmul, best OmpSs vs MPI+CUDA |
+//! | `fig11` | Fig. 11 — STREAM, cluster, OmpSs vs MPI+CUDA |
+//! | `fig12` | Fig. 12 — Perlin, cluster, Flush/NoFlush |
+//! | `fig13` | Fig. 13 — N-Body, cluster, OmpSs vs MPI+CUDA |
+//! | `figWS` | weak scaling, flat vs sharded control plane (beyond the paper) |
+//! | `table1` | Table I — useful lines of code per version |
 //!
-//! Each harness prints an aligned text table (series × sweep points)
-//! and can save machine-readable JSON. Absolute values come from the
+//! Each entry prints an aligned text table (series × sweep points)
+//! and saves machine-readable JSON. Absolute values come from the
 //! simulated platform models; the *shapes* — who wins, by what factor,
 //! where the crossovers sit — are the reproduction targets recorded in
 //! `EXPERIMENTS.md`.
@@ -78,7 +81,7 @@ pub struct FigureData {
     /// Shape findings and reproduction notes.
     pub notes: Vec<String>,
     /// Machine-readable run reports keyed by configuration label
-    /// (`"<series> @ <x>"`); embedded verbatim in the saved JSON.
+    /// (`"<series>@<x><unit>"`); embedded verbatim in the saved JSON.
     pub reports: Vec<(String, Json)>,
 }
 
@@ -110,7 +113,7 @@ impl FigureData {
     }
 
     /// Attach the [`RunReport`](ompss_runtime::RunReport) JSON of one
-    /// measured configuration, keyed by a label such as `"wb/affinity @ 4"`.
+    /// measured configuration, keyed by a label such as `"wb/affinity@4gpus"`.
     pub fn attach_report(&mut self, key: impl Into<String>, report: Json) {
         self.reports.push((key.into(), report));
     }

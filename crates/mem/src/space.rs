@@ -229,11 +229,6 @@ impl MemoryManager {
         SpaceInfo { name: s.name.clone(), kind: s.kind, parent: s.parent, capacity: s.capacity }
     }
 
-    /// Number of spaces registered.
-    pub fn space_count(&self) -> usize {
-        self.inner.lock().spaces.len()
-    }
-
     /// Bytes currently allocated in a space.
     pub fn used(&self, space: SpaceId) -> u64 {
         self.inner.lock().spaces[space.0 as usize].used
@@ -285,11 +280,6 @@ impl MemoryManager {
             .remove(&alloc)
             .unwrap_or_else(|| panic!("free of unknown allocation {alloc:?} in space {space:?}"));
         s.used -= a.size;
-    }
-
-    /// Size of an allocation.
-    pub fn alloc_size(&self, space: SpaceId, alloc: AllocId) -> u64 {
-        self.inner.lock().spaces[space.0 as usize].allocs[&alloc].size
     }
 
     fn bytes_handle(&self, space: SpaceId, alloc: AllocId) -> Option<Arc<Mutex<AlignedBytes>>> {

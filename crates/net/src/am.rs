@@ -154,11 +154,6 @@ impl<M: Send + Clone + 'static> AmEndpoint<M> {
     pub async fn poll(&self) -> SimResult<(NodeId, M)> {
         self.net.fabric.recv(self.node).await
     }
-
-    /// Non-blocking poll.
-    pub fn try_poll(&self) -> Option<(NodeId, M)> {
-        self.net.fabric.try_recv(self.node)
-    }
 }
 
 #[cfg(test)]

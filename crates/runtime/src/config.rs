@@ -56,10 +56,6 @@ pub struct RuntimeConfig {
     /// Cost charged per SMP task in addition to its own cost — models
     /// task bookkeeping overhead.
     pub task_overhead: SimDuration,
-    /// Coarse-eviction slack: fraction of device capacity freed beyond
-    /// the immediate need on memory pressure (0 = precise LRU). Models
-    /// the aggressive replacement of the paper-era GPU cache.
-    pub eviction_slack: f64,
     /// Record a Paraver-style execution trace (task intervals per
     /// resource, transfers per medium) into the run report.
     pub tracing: bool,
@@ -162,7 +158,6 @@ impl RuntimeConfig {
             backing: Backing::Real,
             pinned_pool: 2 << 30,
             task_overhead: SimDuration::from_micros(5),
-            eviction_slack: 0.0,
             tracing: false,
             verify: false,
             sched_seed: 0,
@@ -189,34 +184,12 @@ impl RuntimeConfig {
             gpus_per_node: 1,
             cpu_workers_per_node: 6,
             gpu_spec: GpuSpec::gtx_480(),
-            gpu_mem_override: None,
             host_mem: 25 << 30,
             fabric: FabricConfig::qdr_infiniband(nodes),
-            cache_policy: CachePolicy::WriteBack,
             sched_policy: Policy::Affinity,
-            routing: SlaveRouting::Direct,
-            presend: 0,
             overlap: true,
             prefetch: true,
-            backing: Backing::Real,
-            pinned_pool: 2 << 30,
-            task_overhead: SimDuration::from_micros(5),
-            eviction_slack: 0.0,
-            tracing: false,
-            verify: false,
-            sched_seed: 0,
-            fault_rate: 0.0,
-            fault_seed: 1,
-            task_retry_budget: 3,
-            am_retry_budget: 8,
-            fault_plan: None,
-            node_loss: None,
-            heartbeat_period: SimDuration::from_micros(200),
-            lease_window: SimDuration::from_micros(1000),
-            lineage_depth_budget: 64,
-            node_join: None,
-            node_drain: None,
-            shards: 0,
+            ..Self::multi_gpu(1)
         }
     }
 
@@ -265,12 +238,6 @@ impl RuntimeConfig {
     /// Cap the GPU memory visible to the cache.
     pub fn with_gpu_mem(mut self, bytes: u64) -> Self {
         self.gpu_mem_override = Some(bytes);
-        self
-    }
-
-    /// Set the coarse-eviction slack (see the field docs).
-    pub fn with_eviction_slack(mut self, slack: f64) -> Self {
-        self.eviction_slack = slack;
         self
     }
 
@@ -386,11 +353,6 @@ impl RuntimeConfig {
             // Reserve ~5% for CUDA context and fragmentation.
             self.gpu_spec.mem_capacity - self.gpu_spec.mem_capacity / 20
         })
-    }
-
-    /// Total schedulable resources on one node (workers + GPU managers).
-    pub fn node_resources(&self) -> u32 {
-        self.cpu_workers_per_node + self.gpus_per_node
     }
 
     /// Apply `NX_ARGS`-style environment overrides, the way Nanos++ read

@@ -73,7 +73,7 @@ pub struct RunReport {
     /// Host wall-clock nanoseconds the DES kernel spent running this
     /// program. **Not deterministic** — it varies run to run and host
     /// to host, so [`ToJson`] leaves it out; use [`Self::events_per_sec`]
-    /// or read it directly for wall-clock reporting (`bench_sim`).
+    /// or read it directly for wall-clock reporting (`hostbench`).
     pub host_ns: u64,
     /// Wakeups the kernel's dedup fast path skipped (they could only
     /// ever have popped stale). Zero under `OMPSS_SIM_NO_FASTPATH=1`;
@@ -699,9 +699,7 @@ impl Runtime {
             cfg.sharded(),
         ));
         let coh = Arc::new(
-            Coherence::new(mem.clone(), topo, cfg.cache_policy)
-                .with_evict_slack(cfg.eviction_slack)
-                .with_validation(cfg.verify),
+            Coherence::new(mem.clone(), topo, cfg.cache_policy).with_validation(cfg.verify),
         );
 
         // ---- master scheduler and resources --------------------------

@@ -145,12 +145,6 @@ impl TaskSpec {
         self
     }
 
-    /// Mark the task as free of modelled cost (pure bookkeeping).
-    pub fn cost_zero(mut self) -> Self {
-        self.cost = TaskCost::Zero;
-        self
-    }
-
     /// `priority(...)` clause: higher-priority ready tasks are picked
     /// first by every scheduler queue.
     pub fn priority(mut self, p: i32) -> Self {

@@ -337,11 +337,6 @@ impl Scheduler {
         orphans
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Tasks currently queued (not yet handed to a resource).
     pub fn queued(&self) -> usize {
         self.queued

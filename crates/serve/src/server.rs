@@ -831,6 +831,12 @@ mod tests {
         let log = Arc::new(Log::default());
         let running = server.submit(spec(r#"{"app":"stream","tag":"slow"}"#), log.sink());
         let queued = server.submit(spec(r#"{"app":"stream","tag":"ok"}"#), log.sink());
+        // Shut down only once the slow job is in flight; before that it
+        // is still queued and would (rightly) be rejected too.
+        let started = |e: &Event| e.id == running && matches!(e.kind, EventKind::Started { .. });
+        while !log.events().iter().any(started) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Release the gate from another thread once drain is underway;
         // shutdown() blocks until the in-flight job finishes.
         let g = gate.clone();

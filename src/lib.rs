@@ -41,8 +41,8 @@
 //! DES), `ompss-mem`, `ompss-net`, `ompss-cudasim` (substrates),
 //! `ompss-core`/`ompss-sched`/`ompss-coherence`/`ompss-runtime` (the
 //! model and runtime), `ompss-apps` (the four evaluation benchmarks in
-//! four programming styles), and `ompss-bench` (one harness per figure
-//! and table of the paper).
+//! four programming styles), and `ompss-bench` (one registry of every
+//! figure and table of the paper).
 
 #![warn(missing_docs)]
 
