@@ -8,7 +8,8 @@
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
 #   ./ci.sh bench    # job-server throughput gate (serve --bench --check)
-#   ./ci.sh scale    # 1000-node demo, 1M-process RSS bound, 64-node weak-scaling gate (release)
+#   ./ci.sh scale    # 1000-node demo, 1M-process RSS bound, 64-node weak-scaling gate,
+#                    # 4→256-node master host-cost gate (release)
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
 #   ./ci.sh hostbench # the repo benchmark's own tests (release)
@@ -49,6 +50,9 @@ scale() {
     cargo test -q --release -p ompss-sim --test spawn_scale -- --ignored
     echo "==> weak scaling at 64 nodes (sharded control plane must beat the flat master)"
     cargo test -q --release -p ompss-apps --lib -- --ignored weak_scaling
+    echo "==> master host cost 4->256 nodes (flat matmul_ws host us/task at 256 nodes <= 8x at 4)"
+    cargo test -q --release -p ompss-apps --lib -- --ignored --exact \
+        ws::tests::host_cost_per_task_at_256_nodes_within_8x_of_4_nodes
 }
 
 mc() {

@@ -1551,8 +1551,8 @@ impl Coherence {
         self.debug_validate_locked(&inner, "repair_root");
     }
 
-    /// Valid-latest bytes of `region` at `space` (the scheduler's
-    /// locality oracle).
+    /// Valid-latest bytes of `region` at `space`: `region.len` or 0.
+    /// The per-space form of [`for_each_holder`](Self::for_each_holder).
     pub fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
         let inner = self.inner.lock();
         let Some(entry) = inner.regions.get(region) else {
@@ -1566,9 +1566,19 @@ impl Coherence {
         }
     }
 
-    /// Valid-latest bytes of `region` anywhere in `spaces` (node-level
-    /// affinity: present once counts once).
-    pub fn bytes_under(&self, region: &Region, spaces: &[SpaceId]) -> u64 {
-        spaces.iter().map(|&s| self.bytes_at(region, s)).max().unwrap_or(0)
+    /// Call `f` for every space holding a valid-latest copy of `region`
+    /// — exactly the spaces where [`bytes_at`](Self::bytes_at) is
+    /// `region.len` — under one lock, in no particular order. A region
+    /// no task has touched has no directory entry and yields nothing.
+    pub fn for_each_holder(&self, region: &Region, mut f: impl FnMut(SpaceId)) {
+        let inner = self.inner.lock();
+        let Some(entry) = inner.regions.get(region) else {
+            return;
+        };
+        for (&space, c) in &entry.copies {
+            if matches!(c.state, CState::Valid { version } if version == entry.version) {
+                f(space);
+            }
+        }
     }
 }

@@ -389,7 +389,67 @@ fn bytes_at_reflects_validity_and_staleness() {
         assert_eq!(coh.bytes_at(&r, gpu0), 0);
         assert_eq!(coh.bytes_at(&r, host), 0);
         assert_eq!(coh.bytes_at(&r, gpu1), 64);
-        assert_eq!(coh.bytes_under(&r, &[host, gpu0, gpu1]), 64);
+        let mut holders = Vec::new();
+        coh.for_each_holder(&r, |s| holders.push(s));
+        assert_eq!(holders, vec![gpu1], "only the writer holds the latest version");
+    });
+}
+
+/// The spaces `for_each_holder` yields, sorted, after checking they are
+/// exactly the spaces where `bytes_at` reads the whole region.
+fn holders(coh: &Coherence, r: &Region, spaces: &[SpaceId]) -> Vec<SpaceId> {
+    let mut got = Vec::new();
+    coh.for_each_holder(r, |s| got.push(s));
+    got.sort();
+    let full: Vec<SpaceId> =
+        spaces.iter().copied().filter(|&s| coh.bytes_at(r, s) == r.len).collect();
+    assert_eq!(got, full, "for_each_holder disagrees with bytes_at for {r}");
+    got
+}
+
+#[test]
+fn for_each_holder_yields_exactly_the_valid_latest_copies() {
+    let n = single_node(1 << 20);
+    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let r = region(&n.mem, n.host, 64);
+    let untouched = region(&n.mem, n.host, 32);
+    let (host, gpu0, gpu1) = (n.host, n.gpu0, n.gpu1);
+    let all = [host, gpu0, gpu1];
+    run_sim(async move {
+        // No task touched it: no directory entry, no holder — not even
+        // the home, exactly as `bytes_at` reads it.
+        assert_eq!(holders(&coh, &untouched, &all), vec![]);
+        coh.acquire(&*exec, &r, true, host).await.unwrap();
+        coh.commit(&*exec, &[Access::input(r)], host).await.unwrap();
+        assert_eq!(holders(&coh, &r, &all), vec![host], "read at home: only the home");
+        coh.acquire(&*exec, &r, true, gpu0).await.unwrap();
+        coh.commit(&*exec, &[Access::input(r)], gpu0).await.unwrap();
+        assert_eq!(holders(&coh, &r, &all), vec![host, gpu0]);
+        // A write on gpu1 leaves the host and gpu0 copies stale.
+        coh.acquire(&*exec, &r, false, gpu1).await.unwrap();
+        coh.commit(&*exec, &[Access::output(r)], gpu1).await.unwrap();
+        assert_eq!(holders(&coh, &r, &all), vec![gpu1], "stale copies are not holders");
+        // A fill toward gpu0 still on the wire is not a holder either.
+        let done = ompss_sim::Signal::new();
+        {
+            let (coh, exec, done) = (coh.clone(), exec.clone(), done.clone());
+            spawn("reader", async move {
+                coh.acquire(&*exec, &r, true, gpu0).await.unwrap();
+                coh.commit(&*exec, &[Access::input(r)], gpu0).await.unwrap();
+                done.set();
+            });
+        }
+        delay(SimDuration::from_nanos(10)).await.unwrap();
+        assert_eq!(holders(&coh, &r, &all), vec![gpu1], "in-flight fill is not a holder");
+        done.wait().await.unwrap();
+        let after_fill = holders(&coh, &r, &all);
+        assert!(after_fill.contains(&gpu0) && after_fill.contains(&gpu1));
+        // Dropping gpu0's (now clean) copy removes it from the holders.
+        coh.acquire(&*exec, &r, true, host).await.unwrap();
+        coh.commit(&*exec, &[Access::input(r)], host).await.unwrap();
+        assert_eq!(coh.invalidate_space(gpu0), 1);
+        assert_eq!(holders(&coh, &r, &all), vec![host, gpu1]);
     });
 }
 

@@ -40,21 +40,33 @@ use crate::recover::Reliability;
 use crate::task::{TaskCost, TaskRecord};
 use crate::trace::{TraceEvent, TraceResource, Tracer};
 
-/// Scheduler oracle mapping each resource's space to the set of spaces
-/// whose cached data should count toward its affinity: a GPU counts
-/// only itself; a host counts itself; a node proxy counts the whole
-/// node (host + GPUs), matching the master's node-granularity view.
+/// Scheduler oracle over the coherence directory. Every space holding a
+/// valid-latest copy scores for itself, and a remote node's spaces (its
+/// host and GPUs) also score for that node's host — the space of its
+/// proxy, matching the master's node-granularity view. A node counts a
+/// region once however many of its spaces hold it.
 pub(crate) struct SpanOracle {
     pub coh: Arc<Coherence>,
-    pub spans: HashMap<SpaceId, Vec<SpaceId>>,
+    /// Each space of a remote node → that node's host space. Empty on
+    /// the slaves, whose resources score only their own space.
+    pub node_of: HashMap<SpaceId, SpaceId>,
 }
 
 impl LocalityOracle for SpanOracle {
-    fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-        match self.spans.get(&space) {
-            Some(spaces) => self.coh.bytes_under(region, spaces),
-            None => self.coh.bytes_at(region, space),
-        }
+    fn for_each_holder(&self, region: &Region, f: &mut dyn FnMut(SpaceId, u64)) {
+        let mut nodes: Vec<SpaceId> = Vec::new();
+        self.coh.for_each_holder(region, |space| match self.node_of.get(&space) {
+            Some(&host) => {
+                if space != host {
+                    f(space, region.len);
+                }
+                if !nodes.contains(&host) {
+                    nodes.push(host);
+                    f(host, region.len);
+                }
+            }
+            None => f(space, region.len),
+        });
     }
 }
 
@@ -115,8 +127,8 @@ pub(crate) struct RtShared {
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
     pub slaves: Vec<SlaveState>,
-    /// Per-slave oracle spans (same coherence).
-    pub slave_oracles: Vec<SpanOracle>,
+    /// The slaves' oracle: every space scores only for itself.
+    pub slave_oracle: SpanOracle,
     /// Outstanding tasks (for `taskwait`).
     pub latch: Latch,
     /// Node proxy resource ids within the master scheduler, per node
@@ -596,92 +608,92 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
     let cuda_cap = shared.cfg.gpus_per_node + shared.cfg.presend;
     let mut cursor = 0u32; // persistent round-robin position over slaves
     loop {
-        let mut progressed = false;
         // Round-robin: at most one task per node per visit ("polling the
         // task pool for each node of the cluster in a round-robin
         // fashion", §III-D1), with a persistent cursor so successive
         // dispatches rotate over the nodes; the outer loop keeps
-        // sweeping while any node accepted work.
-        for step in 0..nodes.saturating_sub(1) {
-            let node = 1 + (cursor + step) % (nodes - 1);
-            {
-                let tid = {
-                    let mut m = shared.master.lock();
-                    if m.node_dead[node as usize] || m.node_absent[node as usize] {
-                        continue;
-                    }
-                    let (smp_in, cuda_in) = m.inflight[node as usize];
-                    if smp_in >= smp_cap && cuda_in >= cuda_cap {
-                        continue;
-                    }
-                    // A node the master knows to be GPU-less gets no
-                    // CUDA work (its dispatcher would only bounce it).
-                    let cuda_ok = m.cuda_alive[node as usize] > 0;
-                    let allow = |d: Device| match d {
-                        Device::Smp => smp_in < smp_cap,
-                        Device::Cuda => cuda_ok && cuda_in < cuda_cap,
-                    };
-                    match m.sched.next_matching(shared.proxy_res[node as usize], allow) {
-                        Some(t) => {
-                            m.graph.start(t);
-                            match m.records[&t].desc.device {
-                                Device::Smp => m.inflight[node as usize].0 += 1,
-                                Device::Cuda => m.inflight[node as usize].1 += 1,
-                            }
-                            m.dispatched[node as usize].insert(t);
-                            t
-                        }
-                        None => continue,
-                    }
+        // sweeping while any node accepted work. The sweep never awaits,
+        // so it runs under one master lock; the helpers it spawns start
+        // only after it, in visit order.
+        let mut dispatched: Vec<(NodeId, Arc<TaskRecord>)> = Vec::new();
+        {
+            let mut m = shared.master.lock();
+            for step in 0..nodes.saturating_sub(1) {
+                let node = 1 + (cursor + step) % (nodes - 1);
+                if m.node_dead[node as usize] || m.node_absent[node as usize] {
+                    continue;
+                }
+                let (smp_in, cuda_in) = m.inflight[node as usize];
+                if smp_in >= smp_cap && cuda_in >= cuda_cap {
+                    continue;
+                }
+                // A node the master knows to be GPU-less gets no CUDA
+                // work (its dispatcher would only bounce it).
+                let cuda_ok = m.cuda_alive[node as usize] > 0;
+                let allow = |d: Device| match d {
+                    Device::Smp => smp_in < smp_cap,
+                    Device::Cuda => cuda_ok && cuda_in < cuda_cap,
                 };
-                progressed = true;
+                let Some(t) = m.sched.next_matching(shared.proxy_res[node as usize], allow) else {
+                    continue;
+                };
+                m.graph.start(t);
+                let rec = m.records[&t].clone();
+                match rec.desc.device {
+                    Device::Smp => m.inflight[node as usize].0 += 1,
+                    Device::Cuda => m.inflight[node as usize].1 += 1,
+                }
+                m.dispatched[node as usize].insert(t);
                 cursor = (cursor + step + 1) % (nodes - 1);
-                let rec = shared.record(tid);
-                let host = shared.slaves[node as usize].host;
-                let shared2 = shared.clone();
-                let ep2 = ep.clone();
-                // Helper process: data staging + Exec message, so sends
-                // to different nodes overlap (asynchronous GASNet puts).
-                // Staging is node-granular ("a whole remote cluster node
-                // is a single device", §III-C3): data already valid in
-                // any space of the node needs no push.
-                process(format!("comm:push:t{}", tid.0)).daemon().spawn(async move {
-                    let node_span = shared2.master_oracle.spans.get(&host);
-                    let needed: Vec<_> = rec
-                        .copy_accesses()
-                        .into_iter()
-                        .filter(|a| a.kind.reads())
-                        .filter(|a| {
-                            !node_span
-                                .map(|span| {
-                                    shared2.coh.bytes_under(&a.region, span) == a.region.len
-                                })
-                                .unwrap_or(false)
-                        })
-                        .collect();
-                    // Asynchronous GASNet puts: stage every input at
-                    // once, then send the execution request.
-                    let latch = ompss_sim::Latch::new();
-                    latch.add(needed.len() as u64);
-                    for a in needed {
-                        let sh = shared2.clone();
-                        let latch = latch.clone();
-                        process(format!("comm:stage:{}", a.region)).daemon().spawn(async move {
-                            let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
-                            latch.done();
-                        });
-                    }
-                    if latch.wait_zero().await.is_err() {
-                        return;
-                    }
-                    crate::stats::Counters::add(&shared2.counters.am_exec, 1);
-                    send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
-                        task: rec.desc.id,
-                        rel,
-                    })
-                    .await;
-                });
+                dispatched.push((node, rec));
             }
+        }
+        let progressed = !dispatched.is_empty();
+        for (node, rec) in dispatched {
+            let host = shared.slaves[node as usize].host;
+            let shared2 = shared.clone();
+            let ep2 = ep.clone();
+            // Helper process: data staging + Exec message, so sends to
+            // different nodes overlap (asynchronous GASNet puts).
+            // Staging is node-granular ("a whole remote cluster node is
+            // a single device", §III-C3): data already valid in any
+            // space of the node needs no push — the oracle reports the
+            // node's host as a holder.
+            process(format!("comm:push:t{}", rec.desc.id.0)).daemon().spawn(async move {
+                let needed: Vec<_> = rec
+                    .copy_accesses()
+                    .into_iter()
+                    .filter(|a| a.kind.reads())
+                    .filter(|a| {
+                        let mut held = false;
+                        shared2.master_oracle.for_each_holder(&a.region, &mut |s, _| {
+                            held |= s == host;
+                        });
+                        !held
+                    })
+                    .collect();
+                // Asynchronous GASNet puts: stage every input at once,
+                // then send the execution request.
+                let latch = ompss_sim::Latch::new();
+                latch.add(needed.len() as u64);
+                for a in needed {
+                    let sh = shared2.clone();
+                    let latch = latch.clone();
+                    process(format!("comm:stage:{}", a.region)).daemon().spawn(async move {
+                        let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
+                        latch.done();
+                    });
+                }
+                if latch.wait_zero().await.is_err() {
+                    return;
+                }
+                crate::stats::Counters::add(&shared2.counters.am_exec, 1);
+                send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
+                    task: rec.desc.id,
+                    rel,
+                })
+                .await;
+            });
         }
         if !progressed && shared.comm_bell.wait().await.is_err() {
             return;
@@ -810,7 +822,7 @@ pub(crate) async fn slave_dispatcher(
                 let slave = &shared.slaves[node as usize];
                 let orphans = {
                     let mut s = slave.sched.lock();
-                    s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
+                    s.submit(&rec.desc, &shared.slave_oracle);
                     if slave.gpu_lost.load(Relaxed) {
                         // This Exec may have raced the GpuDown notice:
                         // hand back anything no local resource serves.
@@ -982,7 +994,7 @@ fn slave_gpu_lost(
         let mut s = slave.sched.lock();
         s.deactivate(res);
         for rec in &requeue {
-            s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
+            s.submit(&rec.desc, &shared.slave_oracle);
         }
         s.drain_unservable()
     };

@@ -704,7 +704,7 @@ impl Runtime {
 
         // ---- master scheduler and resources --------------------------
         let mut sched = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-        let mut spans = std::collections::HashMap::new();
+        let mut node_of = std::collections::HashMap::new();
         let mut master_workers = Vec::new();
         for _ in 0..cfg.cpu_workers_per_node {
             master_workers.push(sched.register(ResourceInfo {
@@ -736,9 +736,9 @@ impl Runtime {
                 space: hosts[n as usize],
                 steal_group: 0,
             }));
-            let mut span = vec![hosts[n as usize]];
-            span.extend(gpu_spaces[n as usize].iter().copied());
-            spans.insert(hosts[n as usize], span);
+            let host = hosts[n as usize];
+            node_of.insert(host, host);
+            node_of.extend(gpu_spaces[n as usize].iter().map(|&g| (g, host)));
         }
         // An armed joiner starts absent: its proxy is out of service
         // (no placement, no affinity hints) until the planned join
@@ -746,7 +746,7 @@ impl Runtime {
         if let Some((j, _)) = cfg.node_join {
             sched.deactivate(proxy_res[j as usize]);
         }
-        let master_oracle = SpanOracle { coh: coh.clone(), spans };
+        let master_oracle = SpanOracle { coh: coh.clone(), node_of };
 
         // ---- slave schedulers ----------------------------------------
         let mut slaves = vec![SlaveState {
@@ -756,8 +756,6 @@ impl Runtime {
             gpu_lost: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         }];
-        let mut slave_oracles =
-            vec![SpanOracle { coh: coh.clone(), spans: std::collections::HashMap::new() }];
         type SlaveRes = (Vec<ompss_sched::ResourceId>, Vec<(ompss_sched::ResourceId, SpaceId)>);
         let mut slave_res: Vec<SlaveRes> = vec![(Vec::new(), Vec::new())];
         for n in 1..cfg.nodes as usize {
@@ -788,8 +786,6 @@ impl Runtime {
                 gpu_lost: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
             });
-            slave_oracles
-                .push(SpanOracle { coh: coh.clone(), spans: std::collections::HashMap::new() });
             slave_res.push((workers, gres));
         }
 
@@ -834,7 +830,10 @@ impl Runtime {
             comm_bell: Bell::new(),
             master_oracle,
             slaves,
-            slave_oracles,
+            slave_oracle: SpanOracle {
+                coh: coh.clone(),
+                node_of: std::collections::HashMap::new(),
+            },
             latch: Latch::new(),
             proxy_res,
             gpus: gpus.clone(),

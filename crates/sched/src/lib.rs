@@ -7,11 +7,12 @@
 //!   that finishes a task first tries to run one of the successors it
 //!   just released, on the theory that producer and consumer share data;
 //! * **locality-aware** (`affinity`) — on submission, an affinity score
-//!   is computed for every resource from *where the task's data already
-//!   is* (weighted by size); the task is queued on the best resource,
-//!   falling back to a global queue. Idle resources look at their local
-//!   queue, then the global queue, then *steal* from resources in the
-//!   same steal group (load balancing, per Martinell's SMPSs work).
+//!   is computed from *where the task's data already is* (weighted by
+//!   size) for the resources of the spaces holding it; the task is
+//!   queued on the best resource, falling back to a global queue. Idle
+//!   resources look at their local queue, then the global queue, then
+//!   *steal* from resources in the same steal group (load balancing,
+//!   per Martinell's SMPSs work).
 //!
 //! Schedulers are pure data structures: the runtime serialises access
 //! and parks/wakes worker processes itself. Resources are abstract — a
@@ -21,7 +22,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_mem::{Region, SpaceId};
@@ -70,12 +71,13 @@ pub struct ResourceInfo {
 }
 
 /// Where the data of a region currently lives — implemented by the
-/// coherence directory. `bytes_at` returns how many bytes of `region`
-/// are already valid at (or under) `space`, so moving the task there
-/// would avoid transferring them.
+/// coherence directory. A resource scores the bytes its space reports,
+/// since running the task there would avoid transferring them.
 pub trait LocalityOracle {
-    /// Valid bytes of `region` at `space`.
-    fn bytes_at(&self, region: &Region, space: SpaceId) -> u64;
+    /// Call `f(space, bytes)` once for each scored space that already
+    /// holds `bytes` valid bytes of `region` (at or under it). Spaces
+    /// not reported hold nothing; the order of reports is irrelevant.
+    fn for_each_holder(&self, region: &Region, f: &mut dyn FnMut(SpaceId, u64));
 }
 
 /// An oracle for contexts with no locality information (breadth-first /
@@ -83,10 +85,12 @@ pub trait LocalityOracle {
 pub struct NoLocality;
 
 impl LocalityOracle for NoLocality {
-    fn bytes_at(&self, _region: &Region, _space: SpaceId) -> u64 {
-        0
-    }
+    fn for_each_holder(&self, _region: &Region, _f: &mut dyn FnMut(SpaceId, u64)) {}
 }
+
+/// A local queue this long is a steal victim: migrating a task away
+/// from its data is only worth it against real imbalance.
+const STEAL_THRESHOLD: usize = 2;
 
 /// The task facts a scheduler retains.
 #[derive(Debug, Clone)]
@@ -168,8 +172,18 @@ pub struct Scheduler {
     forbidden: Vec<Option<Device>>,
     global: VecDeque<SchedTask>,
     local: Vec<VecDeque<SchedTask>>,
+    /// Local queues holding at least [`STEAL_THRESHOLD`] tasks: an idle
+    /// resource scans for a steal victim only while this is nonzero.
+    backlogged: usize,
     /// Successor hint slot per resource (dependencies policy).
     hints: Vec<VecDeque<SchedTask>>,
+    /// Resources by execution space, for affinity scoring: only the
+    /// resources of spaces the oracle reports are ever scored.
+    by_space: HashMap<SpaceId, Vec<usize>>,
+    /// Affinity scratch: per-resource score of the task being placed
+    /// (all zero between placements) and the resources it touched.
+    score: Vec<u64>,
+    scored: Vec<usize>,
     stats: SchedStats,
     queued: usize,
     /// Tie-break perturbation seed for the verify subsystem's schedule
@@ -193,7 +207,11 @@ impl Scheduler {
             forbidden: Vec::new(),
             global: VecDeque::new(),
             local: Vec::new(),
+            backlogged: 0,
             hints: Vec::new(),
+            by_space: HashMap::new(),
+            score: Vec::new(),
+            scored: Vec::new(),
             stats: SchedStats::default(),
             queued: 0,
             seed: 0,
@@ -216,12 +234,32 @@ impl Scheduler {
     /// Register a resource; returns its id.
     pub fn register(&mut self, info: ResourceInfo) -> ResourceId {
         let id = ResourceId(self.resources.len());
+        self.by_space.entry(info.space).or_default().push(id.0);
         self.resources.push(info);
         self.active.push(true);
         self.forbidden.push(None);
         self.local.push(VecDeque::new());
         self.hints.push(VecDeque::new());
+        self.score.push(0);
         id
+    }
+
+    /// Re-count `resource`'s local queue in `backlogged` after its
+    /// length changed from `was`.
+    fn note_local_len(&mut self, resource: usize, was: usize) {
+        match (was >= STEAL_THRESHOLD, self.local[resource].len() >= STEAL_THRESHOLD) {
+            (false, true) => self.backlogged += 1,
+            (true, false) => self.backlogged -= 1,
+            _ => {}
+        }
+    }
+
+    /// Remove the task at `pos` of `resource`'s local queue.
+    fn take_local(&mut self, resource: usize, pos: usize) -> SchedTask {
+        let was = self.local[resource].len();
+        let t = self.local[resource].remove(pos).expect("position valid");
+        self.note_local_len(resource, was);
+        t
     }
 
     /// Take `resource` out of service (an injected device loss): its
@@ -234,8 +272,10 @@ impl Scheduler {
             return;
         }
         self.active[resource.0] = false;
+        let was = self.local[resource.0].len();
         let orphans: Vec<SchedTask> =
             self.hints[resource.0].drain(..).chain(self.local[resource.0].drain(..)).collect();
+        self.note_local_len(resource.0, was);
         self.global.extend(orphans);
     }
 
@@ -267,6 +307,7 @@ impl Scheduler {
             return;
         }
         self.forbidden[resource.0] = Some(device);
+        let was = self.local[resource.0].len();
         let strand = |t: &SchedTask| t.device == device;
         let orphans: Vec<SchedTask> = {
             let hints = &mut self.hints[resource.0];
@@ -284,6 +325,7 @@ impl Scheduler {
             }
             out
         };
+        self.note_local_len(resource.0, was);
         self.global.extend(orphans);
     }
 
@@ -333,6 +375,7 @@ impl Scheduler {
                 }
             }
         }
+        self.backlogged = self.local.iter().filter(|q| q.len() >= STEAL_THRESHOLD).count();
         self.queued -= orphans.len();
         orphans
     }
@@ -397,18 +440,33 @@ impl Scheduler {
     }
 
     fn place_by_affinity(&mut self, task: SchedTask, oracle: &dyn LocalityOracle) {
+        // Score only the resources whose space holds some of the data:
+        // every other resource scores zero and could never be chosen.
+        let (by_space, score, scored) = (&self.by_space, &mut self.score, &mut self.scored);
+        for (r, w) in &task.copies {
+            oracle.for_each_holder(r, &mut |space, bytes| {
+                // A nonzero score is what marks a resource as scored.
+                if w * bytes == 0 {
+                    return;
+                }
+                for &i in by_space.get(&space).into_iter().flatten() {
+                    if score[i] == 0 {
+                        scored.push(i);
+                    }
+                    score[i] += w * bytes;
+                }
+            });
+        }
         // Highest weighted score wins; per the paper, "if there is no
         // highest affinity" (a tie, or no resident data at all) the task
-        // goes to the global queue for demand-driven pickup.
+        // goes to the global queue for demand-driven pickup. Neither
+        // outcome depends on the order the scored resources are visited.
         let mut best: Option<(u64, usize)> = None;
         let mut tied = false;
-        for i in 0..self.resources.len() {
+        for k in 0..self.scored.len() {
+            let i = self.scored[k];
+            let score = std::mem::take(&mut self.score[i]);
             if !self.serves(i, task.device) {
-                continue;
-            }
-            let space = self.resources[i].space;
-            let score: u64 = task.copies.iter().map(|(r, w)| w * oracle.bytes_at(r, space)).sum();
-            if score == 0 {
                 continue;
             }
             match best {
@@ -421,8 +479,13 @@ impl Scheduler {
                 None => best = Some((score, i)),
             }
         }
+        self.scored.clear();
         match best {
-            Some((_, i)) if !tied => self.local[i].push_back(task),
+            Some((_, i)) if !tied => {
+                let was = self.local[i].len();
+                self.local[i].push_back(task);
+                self.note_local_len(i, was);
+            }
             _ => self.global.push_back(task),
         }
     }
@@ -464,27 +527,36 @@ impl Scheduler {
             accepts: impl Fn(&SchedTask) -> bool,
             salt: u64,
         ) -> Option<usize> {
-            let mut best_prio = i32::MIN;
-            let mut candidates: Vec<usize> = Vec::new();
+            // First pass: the best eligible priority, how many eligible
+            // tasks share it, and the oldest of them.
+            let mut best: Option<(i32, usize)> = None;
+            let mut count = 0u64;
             for (i, t) in q.iter().enumerate() {
                 if !accepts(t) {
                     continue;
                 }
-                if candidates.is_empty() || t.priority > best_prio {
-                    best_prio = t.priority;
-                    candidates.clear();
-                    candidates.push(i);
-                } else if t.priority == best_prio {
-                    candidates.push(i);
+                match best {
+                    Some((p, _)) if t.priority < p => {}
+                    Some((p, _)) if t.priority == p => count += 1,
+                    _ => {
+                        best = Some((t.priority, i));
+                        count = 1;
+                    }
                 }
             }
-            if candidates.is_empty() {
-                None
-            } else {
-                // salt == 0 selects the first (oldest) candidate: the
-                // exact pre-perturbation FIFO behaviour.
-                Some(candidates[(salt % candidates.len() as u64) as usize])
+            let (prio, oldest) = best?;
+            // salt == 0 selects the oldest candidate: the exact
+            // pre-perturbation FIFO behaviour, without a second pass.
+            let nth = salt % count;
+            if nth == 0 {
+                return Some(oldest);
             }
+            q.iter()
+                .enumerate()
+                .skip(oldest)
+                .filter(|(_, t)| t.priority == prio && accepts(t))
+                .nth(nth as usize)
+                .map(|(i, _)| i)
         }
 
         if let Some(pos) = pick(&self.hints[resource.0], accepts, salt) {
@@ -495,7 +567,7 @@ impl Scheduler {
         }
 
         if let Some(pos) = pick(&self.local[resource.0], accepts, salt) {
-            let t = self.local[resource.0].remove(pos).expect("position valid");
+            let t = self.take_local(resource.0, pos);
             self.queued -= 1;
             self.stats.local_hits += 1;
             return Some(t.id);
@@ -508,12 +580,11 @@ impl Scheduler {
             return Some(t.id);
         }
 
-        if self.policy == Policy::Affinity {
+        if self.policy == Policy::Affinity && self.backlogged > 0 {
             // Steal from the back of the longest local queue in our
-            // group — but only from a meaningfully backlogged victim
-            // (≥ STEAL_THRESHOLD queued): migrating a task away from its
-            // data is only worth it against real imbalance.
-            const STEAL_THRESHOLD: usize = 2;
+            // group — but only from a backlogged victim (≥
+            // STEAL_THRESHOLD queued). With no backlogged queue anywhere
+            // there is no victim, so the scan is skipped.
             let group = self.resources[resource.0].steal_group;
             let victim = (0..self.resources.len())
                 .filter(|&i| i != resource.0 && self.active[i])
@@ -526,7 +597,7 @@ impl Scheduler {
                     .iter()
                     .rposition(&accepts)
                     .expect("victim filtered to have an eligible task");
-                let t = self.local[v].remove(pos).expect("position valid");
+                let t = self.take_local(v, pos);
                 self.queued -= 1;
                 self.stats.steals += 1;
                 return Some(t.id);
@@ -579,8 +650,12 @@ mod tests {
     struct MapOracle(HashMap<(u64, u32), u64>);
 
     impl LocalityOracle for MapOracle {
-        fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-            *self.0.get(&(region.data.0, space.0)).unwrap_or(&0)
+        fn for_each_holder(&self, region: &Region, f: &mut dyn FnMut(SpaceId, u64)) {
+            for (&(data, space), &bytes) in &self.0 {
+                if data == region.data.0 {
+                    f(SpaceId(space), bytes);
+                }
+            }
         }
     }
 
@@ -977,5 +1052,259 @@ mod tests {
         assert_eq!(Policy::BreadthFirst.chart_label(), "bf");
         assert_eq!(Policy::Dependencies.chart_label(), "default");
         assert_eq!(Policy::Affinity.chart_label(), "affinity");
+    }
+
+    /// Deterministic test stream over [`splitmix64`].
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 += 1;
+            splitmix64(self.0) % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// Holders per data object, reported the way the runtime's span
+    /// oracle does: each holder scores for itself, and a holder inside
+    /// a node's span also scores (once per region) for the node's key
+    /// space. `node_of` maps every key to itself.
+    struct SpanLikeOracle {
+        holders: HashMap<u64, Vec<u32>>,
+        node_of: HashMap<u32, u32>,
+    }
+
+    impl LocalityOracle for SpanLikeOracle {
+        fn for_each_holder(&self, region: &Region, f: &mut dyn FnMut(SpaceId, u64)) {
+            let mut nodes = Vec::new();
+            for &h in self.holders.get(&region.data.0).into_iter().flatten() {
+                match self.node_of.get(&h) {
+                    Some(&key) => {
+                        if h != key {
+                            f(SpaceId(h), region.len);
+                        }
+                        if !nodes.contains(&key) {
+                            nodes.push(key);
+                            f(SpaceId(key), region.len);
+                        }
+                    }
+                    None => f(SpaceId(h), region.len),
+                }
+            }
+        }
+    }
+
+    /// The dense affinity scorer the sparse one replaced: every serving
+    /// resource, in index order, scored through a per-space byte query.
+    /// `None` means the global queue.
+    fn dense_placement(
+        s: &Scheduler,
+        desc: &TaskDesc,
+        oracle: &dyn LocalityOracle,
+    ) -> Option<usize> {
+        let task = SchedTask::from_desc(desc);
+        let bytes_at = |r: &Region, space: SpaceId| {
+            let mut b = 0;
+            oracle.for_each_holder(r, &mut |h, n| {
+                if h == space {
+                    b = n;
+                }
+            });
+            b
+        };
+        let mut best: Option<(u64, usize)> = None;
+        let mut tied = false;
+        for i in 0..s.resources.len() {
+            if !s.serves(i, task.device) {
+                continue;
+            }
+            let space = s.resources[i].space;
+            let score: u64 = task.copies.iter().map(|(r, w)| w * bytes_at(r, space)).sum();
+            if score == 0 {
+                continue;
+            }
+            match best {
+                Some((b, _)) if score > b => {
+                    best = Some((score, i));
+                    tied = false;
+                }
+                Some((b, _)) if score == b => tied = true,
+                Some(_) => {}
+                None => best = Some((score, i)),
+            }
+        }
+        match best {
+            Some((_, i)) if !tied => Some(i),
+            _ => None,
+        }
+    }
+
+    fn random_resource(rng: &mut Rng) -> ResourceInfo {
+        let kind = match rng.below(3) {
+            0 => ResourceKind::SmpWorker,
+            1 => ResourceKind::GpuManager,
+            _ => ResourceKind::NodeProxy,
+        };
+        ResourceInfo { kind, space: SpaceId(rng.below(6) as u32), steal_group: 0 }
+    }
+
+    fn random_task(rng: &mut Rng, id: u64) -> TaskDesc {
+        let copies = rng.below(4);
+        TaskDesc {
+            id: TaskId(id),
+            label: String::new(),
+            device: if rng.chance(50) { Device::Cuda } else { Device::Smp },
+            deps: (0..copies)
+                .map(|_| {
+                    let r = Region::new(DataId(rng.below(5)), 0, 1 + rng.below(4) * 32);
+                    if rng.chance(40) {
+                        Access::inout(r)
+                    } else {
+                        Access::input(r)
+                    }
+                })
+                .collect(),
+            copy_deps: true,
+            extra_copies: vec![],
+            priority: rng.below(2) as i32,
+        }
+    }
+
+    /// Apply one random membership change: deactivate, forbid or adopt.
+    fn random_membership(rng: &mut Rng, s: &mut Scheduler) {
+        let r = ResourceId(rng.below(s.resources.len() as u64) as usize);
+        match rng.below(3) {
+            0 => s.deactivate(r),
+            1 => s.forbid(r, if rng.chance(50) { Device::Cuda } else { Device::Smp }),
+            _ => s.adopt(r),
+        }
+    }
+
+    /// The queue `submit` put a task on: `Some(i)` for resource `i`'s
+    /// local queue, `None` for the global queue.
+    fn placed_on(s: &Scheduler, local_before: &[usize]) -> Option<usize> {
+        (0..s.local.len()).find(|&i| s.local[i].len() > local_before[i])
+    }
+
+    #[test]
+    fn sparse_affinity_scoring_places_like_the_dense_scorer() {
+        let mut placed_locally = 0;
+        for seed in 0..300u64 {
+            let mut rng = Rng(seed << 32);
+            let mut s = Scheduler::new(Policy::Affinity);
+            for _ in 0..1 + rng.below(10) {
+                s.register(random_resource(&mut rng));
+            }
+            // Spans as the runtime builds them: a node key maps to
+            // itself, and a member space to at most one key.
+            let keys: Vec<u32> = (0..6).filter(|_| rng.chance(30)).collect();
+            let mut node_of: HashMap<u32, u32> = keys.iter().map(|&k| (k, k)).collect();
+            for sp in 0..6 {
+                if !keys.is_empty() && !keys.contains(&sp) && rng.chance(60) {
+                    node_of.insert(sp, keys[rng.below(keys.len() as u64) as usize]);
+                }
+            }
+            let holders: HashMap<u64, Vec<u32>> =
+                (0..5).map(|d| (d, (0..6).filter(|_| rng.chance(30)).collect())).collect();
+            let oracle = SpanLikeOracle { holders, node_of };
+            for id in 0..30 {
+                if rng.chance(15) {
+                    random_membership(&mut rng, &mut s);
+                }
+                if rng.chance(20) {
+                    let r = ResourceId(rng.below(s.resources.len() as u64) as usize);
+                    s.next(r);
+                }
+                let desc = random_task(&mut rng, id);
+                let expected = dense_placement(&s, &desc, &oracle);
+                let before: Vec<usize> = s.local.iter().map(VecDeque::len).collect();
+                let global_before = s.global.len();
+                s.submit(&desc, &oracle);
+                let got = placed_on(&s, &before);
+                assert_eq!(got, expected, "seed {seed}, task {id}: {desc:?}");
+                if got.is_none() {
+                    assert_eq!(s.global.len(), global_before + 1);
+                }
+                placed_locally += got.is_some() as u32;
+                assert!(s.score.iter().all(|&x| x == 0), "score scratch left dirty");
+            }
+        }
+        assert!(placed_locally > 500, "too few local placements to compare: {placed_locally}");
+    }
+
+    #[test]
+    fn backlogged_counts_local_queues_at_the_steal_threshold() {
+        let mut steals = 0;
+        for seed in 0..200u64 {
+            let mut rng = Rng(seed << 32);
+            let mut s = Scheduler::new(Policy::Affinity).with_seed(seed % 3);
+            for _ in 0..2 + rng.below(6) {
+                s.register(random_resource(&mut rng));
+            }
+            let holders: HashMap<u64, Vec<u32>> =
+                (0..5).map(|d| (d, vec![rng.below(6) as u32])).collect();
+            let oracle = SpanLikeOracle { holders, node_of: HashMap::new() };
+            let mut id = 0;
+            for step in 0..80 {
+                match rng.below(10) {
+                    0..=4 => {
+                        s.submit(&random_task(&mut rng, id), &oracle);
+                        id += 1;
+                    }
+                    5..=7 => {
+                        let r = ResourceId(rng.below(s.resources.len() as u64) as usize);
+                        s.next(r);
+                    }
+                    8 => random_membership(&mut rng, &mut s),
+                    _ => {
+                        let r = ResourceId(rng.below(s.resources.len() as u64) as usize);
+                        if rng.chance(50) {
+                            s.withdraw(r);
+                        } else {
+                            s.drain_unservable();
+                        }
+                    }
+                }
+                let expected = s.local.iter().filter(|q| q.len() >= STEAL_THRESHOLD).count();
+                assert_eq!(s.backlogged, expected, "seed {seed}, step {step}");
+            }
+            steals += s.stats().steals;
+        }
+        assert!(steals > 0, "the random sequences never exercised the steal path");
+    }
+
+    /// The allocation-free `pick` against the candidate-list pick it
+    /// replaced: same task for every queue, filter and salt.
+    #[test]
+    fn pick_matches_the_candidate_list_reference() {
+        fn reference(q: &VecDeque<SchedTask>, device: Device, salt: u64) -> Option<TaskId> {
+            let eligible: Vec<&SchedTask> = q.iter().filter(|t| t.device == device).collect();
+            let best = eligible.iter().map(|t| t.priority).max()?;
+            let candidates: Vec<&&SchedTask> =
+                eligible.iter().filter(|t| t.priority == best).collect();
+            Some(candidates[(salt % candidates.len() as u64) as usize].id)
+        }
+        for seed in 1..400u64 {
+            let mut rng = Rng(seed << 32);
+            let mut s = Scheduler::new(Policy::BreadthFirst).with_seed(seed % 4);
+            let w = s.register(smp(0));
+            for id in 0..rng.below(12) {
+                let mut d = random_task(&mut rng, id);
+                d.priority = rng.below(3) as i32;
+                s.submit(&d, &NoLocality);
+            }
+            while !s.global.is_empty() {
+                let salt = if s.seed == 0 { 0 } else { splitmix64(s.seed ^ (s.decisions + 1)) };
+                let expected = reference(&s.global, Device::Smp, salt);
+                let got = s.next(w);
+                assert_eq!(got, expected, "seed {seed}");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }
