@@ -72,50 +72,14 @@ mc_defects() {
         cargo test -q -p ompss-mc --test defects
 }
 
-if [[ "${1:-}" == "verify" ]]; then
-    verify
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "chaos" ]]; then
-    chaos
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "churn" ]]; then
-    churn
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "bench" ]]; then
-    bench
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "scale" ]]; then
-    scale
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "mc" ]]; then
-    mc
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "serve" ]]; then
-    serve
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "hostbench" ]]; then
-    hostbench
+# A named stage runs alone; `quick` or no argument runs the suite.
+stages=(verify chaos churn bench scale mc serve hostbench)
+if [[ -n "${1:-}" && "$1" != quick ]]; then
+    if [[ " ${stages[*]} " != *" $1 "* ]]; then
+        echo "ci.sh: unknown stage '$1'; valid stages: quick ${stages[*]}" >&2
+        exit 2
+    fi
+    "$1"
     echo "CI green."
     exit 0
 fi

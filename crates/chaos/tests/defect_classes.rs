@@ -4,14 +4,16 @@
 //! the recovery machinery fired (counters) and that it was lossless
 //! (bit-identical output).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ompss_apps::scenario::App;
+use ompss_apps::{common::AppRun, scenario::App};
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, TaskSpec,
+    FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, SimTime, TaskSpec,
+    TraceEvent,
 };
 
 #[test]
@@ -39,26 +41,96 @@ fn duplicated_am_deduplicated() {
     assert_eq!(output_of(&run), output_of(&reference), "recovery must be lossless");
 }
 
+fn trace_of(run: &AppRun) -> &[TraceEvent] {
+    run.report.as_ref().and_then(|r| r.trace.as_deref()).expect("traced run")
+}
+
+/// GPU resources `(node, name)` of a traced run that started a task at
+/// or after `from`.
+fn gpus_busy_from(run: &AppRun, from: SimTime) -> BTreeSet<(u32, String)> {
+    trace_of(run)
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Task { resource, start, .. }
+                if resource.name.starts_with("gpu") && *start >= from =>
+            {
+                Some((resource.node, resource.name.clone()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The node whose GPU the traced `run`'s first `kind` recovery happened
+/// on. A retried kernel re-runs on the manager that saw it fail, so that
+/// is where its task ran. A lost GPU runs nothing afterwards: it is the
+/// one GPU busy in the fault-free `reference` run that starts no task
+/// after the loss.
+fn recovery_node(run: &AppRun, reference: &AppRun, kind: &str) -> u32 {
+    let (task, at) = trace_of(run)
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Recovery { kind: k, task, at } if *k == kind => Some((*task, *at)),
+            _ => None,
+        })
+        .expect("no recovery of that kind");
+    if kind == "task_retry" {
+        return trace_of(run)
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::Task { task: t, resource, .. } if Some(*t) == task => {
+                    Some(resource.node)
+                }
+                _ => None,
+            })
+            .expect("the retried task ran");
+    }
+    let all = gpus_busy_from(reference, SimTime(0));
+    let after = gpus_busy_from(run, at);
+    let lost: Vec<_> = all.difference(&after).collect();
+    assert_eq!(lost.len(), 1, "exactly one GPU goes silent at the loss: {lost:?}");
+    lost[0].0
+}
+
+/// Force the first `class` draw while `app` runs on `cfg`: the fault
+/// must land on `node`'s GPU manager, be recovered exactly once, and
+/// leave the output bit-identical to a fault-free run.
+fn forced_gpu_fault(app: App, cfg: RuntimeConfig, class: FaultClass, seed: u64, node: u32) {
+    let cfg = cfg.with_tracing(true);
+    let reference = run_app(app, cfg.clone());
+    let plan = Arc::new(FaultPlan::quiet(seed).with_forced(class, 1));
+    let run = chaos_run(app, cfg, plan);
+    let rep = run.report.as_ref().expect("report");
+    let (recovered, kind) = match class {
+        FaultClass::KernelFail => (rep.counters.tasks_reexecuted, "task_retry"),
+        FaultClass::DeviceLoss => (rep.counters.devices_lost, "device_lost"),
+        _ => unreachable!("not a GPU fault class"),
+    };
+    assert_eq!(recovered, 1, "exactly the forced {kind} is recovered");
+    assert_eq!(recovery_node(&run, &reference, kind), node, "the {kind} lands on node {node}");
+    assert_eq!(output_of(&run), output_of(&reference), "recovery must be lossless");
+}
+
+/// A 2-node cluster (prefetch on) on which matmul's first kernel runs on
+/// the slave, so the first forced GPU fault hits node 1's manager. The
+/// node is read off the execution trace by [`recovery_node`], not
+/// assumed: on the flat `gpu_cluster(2)` the same fault lands on node 0.
+fn slave_first_cluster() -> RuntimeConfig {
+    RuntimeConfig::gpu_cluster(2).with_sharded_control(2)
+}
+
 #[test]
 fn kernel_failure_reexecuted_once() {
-    let cfg = RuntimeConfig::multi_gpu(2);
-    let reference = output_of(&run_app(App::Matmul, cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1));
-    let run = chaos_run(App::Matmul, cfg, plan);
-    let rep = run.report.as_ref().expect("report");
-    assert_eq!(rep.counters.tasks_reexecuted, 1, "exactly the forced failure re-executes");
-    assert_eq!(output_of(&run), reference.as_slice(), "recovery must be lossless");
+    forced_gpu_fault(App::Matmul, RuntimeConfig::multi_gpu(2), FaultClass::KernelFail, 3, 0);
+    forced_gpu_fault(App::Matmul, slave_first_cluster(), FaultClass::KernelFail, 3, 1);
 }
 
 #[test]
 fn device_loss_migrates_queued_work() {
-    let cfg = RuntimeConfig::multi_gpu(2);
-    let reference = output_of(&run_app(App::Stream, cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1));
-    let run = chaos_run(App::Stream, cfg, plan);
-    let rep = run.report.as_ref().expect("report");
-    assert_eq!(rep.counters.devices_lost, 1, "the forced loss takes one device");
-    assert_eq!(output_of(&run), reference.as_slice(), "migration must be lossless");
+    forced_gpu_fault(App::Stream, RuntimeConfig::multi_gpu(2), FaultClass::DeviceLoss, 7, 0);
+    // Stream's first kernel runs on node 0 on every 2-4 node cluster,
+    // flat or sharded, so matmul drives the slave's loss path.
+    forced_gpu_fault(App::Matmul, slave_first_cluster(), FaultClass::DeviceLoss, 7, 1);
 }
 
 #[test]

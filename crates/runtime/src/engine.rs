@@ -7,15 +7,21 @@
 //! layer stages its data in the execution space; the task runs; its
 //! completion releases successors.
 //!
-//! Cluster protocol (§III-D1): the master image runs the program and
-//! owns the task graph. One *communication thread* drains the per-node
-//! proxy queues round-robin, staging each dispatched task's input data
-//! in the remote node's host memory (concurrently, via helper
-//! processes — GASNet sends are asynchronous) before sending the `Exec`
-//! active message. Slaves submit received tasks to their local
-//! scheduler, execute them with their own workers/GPU managers, and
-//! send `Done` back; the master releases successors and refills the
-//! node up to `resources + presend` tasks in flight.
+//! Cluster protocol (§III-D1): every node runs the same image — the
+//! same [`smp_worker`] and [`gpu_manager`] loops over its own host and
+//! GPUs. Node 0 additionally runs the program, owns the task graph and
+//! hosts the *communication thread*, which drains the per-node proxy
+//! queues round-robin, staging each dispatched task's input data in the
+//! remote node's host memory (concurrently, via helper processes —
+//! GASNet sends are asynchronous) before sending the `Exec` active
+//! message. Slaves submit received tasks to their local scheduler,
+//! execute them, and send `Done` back; the master releases successors
+//! and refills the node up to `resources + presend` tasks in flight.
+//! Only three things depend on the node, all behind [`RtShared`]
+//! methods: where the next task comes from ([`RtShared::next_task`]),
+//! which bell an idle resource parks on, and how a completion or a
+//! device loss is reported ([`RtShared::finish`],
+//! [`RtShared::gpu_lost`]).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -26,8 +32,7 @@ use parking_lot::Mutex;
 use ompss_coherence::{Coherence, MembershipEpochs};
 use ompss_core::{Device, TaskGraph, TaskId};
 use ompss_cudasim::{GpuDevice, GpuFault, KernelCost};
-use ompss_mem::Region;
-use ompss_mem::{MemoryManager, SpaceId};
+use ompss_mem::{DataId, MemoryManager, OutOfMemory, Region, SpaceId};
 use ompss_net::{AmEndpoint, Fabric, LeaseTracker, NodeId};
 use ompss_sched::{LocalityOracle, ResourceId, Scheduler};
 use ompss_sim::{
@@ -100,11 +105,41 @@ pub(crate) struct MasterState {
     pub node_absent: Vec<bool>,
 }
 
-/// Per-slave-node state.
-pub(crate) struct SlaveState {
+impl MasterState {
+    /// Free `node`'s in-flight slot for `task`: its `Done` or `Failed`
+    /// came back.
+    fn release_slot(&mut self, node: NodeId, task: TaskId) {
+        let slot = &mut self.inflight[node as usize];
+        match self.records[&task].desc.device {
+            Device::Smp => slot.0 -= 1,
+            Device::Cuda => slot.1 -= 1,
+        }
+        self.dispatched[node as usize].remove(&task);
+    }
+
+    /// Put a started task back: not running in the graph, queued again
+    /// in the scheduler.
+    fn requeue(&mut self, task: TaskId, oracle: &SpanOracle) {
+        self.graph.reset_running(task);
+        self.sched.submit(&self.records[&task].desc, oracle);
+    }
+
+    /// Take `node` out of service for good: no further dispatch, no
+    /// CUDA capacity, no slots in flight.
+    fn retire(&mut self, node: NodeId) {
+        self.node_dead[node as usize] = true;
+        self.cuda_alive[node as usize] = 0;
+        self.inflight[node as usize] = (0, 0);
+    }
+}
+
+/// Per-node state (node 0 included).
+pub(crate) struct NodeState {
+    /// The node's local scheduler. Empty on node 0, whose resources
+    /// draw from the master scheduler in [`MasterState`].
     pub sched: Mutex<Scheduler>,
+    /// Where the node's idle workers and GPU managers park.
     pub bell: Bell,
-    pub host: SpaceId,
     /// Set once this node has lost a GPU: its dispatcher then bounces
     /// freshly arrived CUDA tasks the node can no longer serve back to
     /// the master (covers `Exec`s that raced the `GpuDown` notice).
@@ -116,6 +151,17 @@ pub(crate) struct SlaveState {
     pub dead: AtomicBool,
 }
 
+impl NodeState {
+    pub fn new(sched: Scheduler) -> Self {
+        NodeState {
+            sched: Mutex::new(sched),
+            bell: Bell::new(),
+            gpu_lost: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+        }
+    }
+}
+
 /// Everything the service processes share.
 pub(crate) struct RtShared {
     pub cfg: crate::config::RuntimeConfig,
@@ -123,10 +169,9 @@ pub(crate) struct RtShared {
     pub coh: Arc<Coherence>,
     pub exec: Arc<RtExec>,
     pub master: Mutex<MasterState>,
-    pub master_bell: Bell,
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
-    pub slaves: Vec<SlaveState>,
+    pub nodes: Vec<NodeState>,
     /// The slaves' oracle: every space scores only for itself.
     pub slave_oracle: SpanOracle,
     /// Outstanding tasks (for `taskwait`).
@@ -154,11 +199,11 @@ pub(crate) struct RtShared {
     /// untracked — its lease begins at the join instant; a drained node
     /// is untracked at departure — retirement, not death.
     pub lease: Option<Mutex<LeaseTracker>>,
-    /// Epoch-versioned shard ownership; `Some` exactly when elastic
-    /// membership is armed on the sharded control plane. Planned
-    /// joins/drains advance the epoch and rebalance slice homes; static
-    /// runs never construct this and resolve through the pure
-    /// [`ompss_coherence::ShardMap`] alone.
+    /// Epoch-versioned shard ownership; `Some` exactly when the
+    /// sharded control plane runs on more than one node. A static
+    /// cluster stays at epoch 0 (members `0..nodes`, the same owners as
+    /// the pure [`ompss_coherence::ShardMap`]); planned joins/drains
+    /// advance the epoch and rebalance slice homes.
     pub membership: Option<Mutex<MembershipEpochs>>,
     /// Every space of each node (host first, then its GPUs) — the purge
     /// set when that node dies.
@@ -217,7 +262,47 @@ impl RtShared {
     /// this once the lease protocol detects it; the dead node's own
     /// processes consult it directly — a dead machine stops computing.)
     pub(crate) fn node_down(&self, node: NodeId) -> bool {
-        node != 0 && self.slaves[node as usize].dead.load(Relaxed)
+        self.nodes[node as usize].dead.load(Relaxed)
+    }
+
+    /// Ring `node`'s bell. Node 0's also wakes the comm thread: work in
+    /// the master scheduler may be bound for a remote node.
+    pub(crate) fn wake(&self, node: NodeId) {
+        self.nodes[node as usize].bell.ring();
+        if node == 0 {
+            self.comm_bell.ring();
+        }
+    }
+
+    /// The next task for resource `res` of `node`. Node 0 draws from
+    /// the master scheduler and starts the task in the graph under the
+    /// same lock; a slave draws from its own scheduler (the master
+    /// started the task when it dispatched it).
+    fn next_task(&self, node: NodeId, res: ResourceId) -> Option<TaskId> {
+        if node != 0 {
+            return self.nodes[node as usize].sched.lock().next(res);
+        }
+        let mut m = self.master.lock();
+        let t = m.sched.next(res)?;
+        m.graph.start(t);
+        Some(t)
+    }
+
+    /// Report `tid` done on `node`: node 0 completes it in the graph, a
+    /// slave sends `Done` to the master.
+    async fn finish(
+        self: &Arc<Self>,
+        node: NodeId,
+        tid: TaskId,
+        res: ResourceId,
+        ep: &AmEndpoint<ClusterMsg>,
+    ) {
+        if node == 0 {
+            self.complete_on_master(tid, res);
+            return;
+        }
+        crate::stats::Counters::add(&self.counters.am_done, 1);
+        send_msg(self, ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel }).await;
     }
 
     /// Acquire all of a task's copy accesses in `space` concurrently —
@@ -432,40 +517,66 @@ impl RtShared {
         true
     }
 
-    /// Master-side whole-device loss: blacklist the manager's resource
-    /// (migrating its queue), put the in-hand and any prefetched task
-    /// back into the graph and scheduler, and drop the dead space's
-    /// cached copies. The machine-wide fuse guarantees a surviving
-    /// CUDA-capable resource (another local GPU, or the node proxies
-    /// when clustered), so nothing becomes unservable here.
-    fn master_gpu_lost(
-        &self,
+    /// Whole-device loss on `node`: blacklist the manager's resource
+    /// (migrating its queue), re-queue the in-hand and any prefetched
+    /// task, and drop the dead space's cached copies. Node 0 re-queues
+    /// into the master graph and scheduler; the machine-wide fuse
+    /// guarantees a surviving CUDA-capable resource (another local GPU,
+    /// or the node proxies when clustered), so nothing becomes
+    /// unservable there. A slave re-queues locally, then hands
+    /// everything it can no longer serve back to the master as
+    /// `Failed` — after a `GpuDown` notice so the master throttles CUDA
+    /// dispatch to it.
+    fn gpu_lost(
+        self: &Arc<Self>,
+        node: NodeId,
         res: ResourceId,
         space: SpaceId,
         tid: TaskId,
         prefetched: Option<TaskId>,
+        ep: &AmEndpoint<ClusterMsg>,
     ) {
         crate::stats::Counters::add(&self.counters.devices_lost, 1);
-        {
+        let tasks = std::iter::once(tid).chain(prefetched);
+        let orphans = if node == 0 {
             let mut m = self.master.lock();
             m.sched.deactivate(res);
-            for t in std::iter::once(tid).chain(prefetched) {
-                m.graph.reset_running(t);
-                let rec = m.records[&t].clone();
-                m.sched.submit(&rec.desc, &self.master_oracle);
+            for t in tasks {
+                m.requeue(t, &self.master_oracle);
             }
-        }
+            Vec::new()
+        } else {
+            let this = &self.nodes[node as usize];
+            this.gpu_lost.store(true, Relaxed);
+            let requeue: Vec<Arc<TaskRecord>> = tasks.map(|t| self.record(t)).collect();
+            let mut s = this.sched.lock();
+            s.deactivate(res);
+            for rec in &requeue {
+                s.submit(&rec.desc, &self.slave_oracle);
+            }
+            s.drain_unservable()
+        };
         self.coh.invalidate_space(space);
         if let Some(tr) = &self.tracer {
             tr.record(TraceEvent::Recovery { kind: "device_lost", task: Some(tid.0), at: now() });
         }
-        self.master_bell.ring();
-        self.comm_bell.ring();
+        if node != 0 {
+            let shared = self.clone();
+            let ep = ep.clone();
+            process(format!("gpu-down:n{node}")).daemon().spawn(async move {
+                send_msg(&shared, &ep, 0, "GpuDown", |rel| ClusterMsg::GpuDown { rel }).await;
+                for t in orphans {
+                    send_msg(&shared, &ep, 0, "Failed", |rel| ClusterMsg::Failed { task: t, rel })
+                        .await;
+                }
+            });
+        }
+        self.wake(node);
     }
 
     /// Master-side completion: release successors, update the
     /// scheduler, wake everyone.
-    pub(crate) fn complete_on_master(&self, id: TaskId, res: ResourceId) {
+    fn complete_on_master(&self, id: TaskId, res: ResourceId) {
         let rec = {
             let mut m = self.master.lock();
             let mut newly = std::mem::take(&mut m.newly_scratch);
@@ -486,32 +597,38 @@ impl RtShared {
         };
         rec.done.set();
         self.latch.done();
-        self.master_bell.ring();
-        self.comm_bell.ring();
+        self.wake(0);
     }
 }
 
-/// SMP worker loop for the master node.
-pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
-    let space = shared.hosts[0];
+/// SMP worker loop, the same on every node.
+pub(crate) async fn smp_worker(
+    shared: Arc<RtShared>,
+    node: NodeId,
+    res: ResourceId,
+    ep: AmEndpoint<ClusterMsg>,
+) {
+    let space = shared.hosts[node as usize];
+    let bell = &shared.nodes[node as usize].bell;
     loop {
-        let tid = { shared.master.lock().sched.next(res) };
-        let Some(tid) = tid else {
-            if shared.master_bell.wait().await.is_err() {
+        if shared.node_down(node) {
+            return;
+        }
+        let Some(tid) = shared.next_task(node, res) else {
+            if bell.wait().await.is_err() {
                 return;
             }
             continue;
         };
-        shared.master.lock().graph.start(tid);
         let rec = shared.record(tid);
         let mut attempts = 0u32;
         loop {
             let t0 = now();
-            match shared.run_smp_body(&rec, space, 0).await {
-                Err(_) => return,
+            match shared.run_smp_body(&rec, space, node).await {
+                Err(_) | Ok(BodyOutcome::Abandoned) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, 0, &format!("worker{}", res.0), t0, now());
-                    shared.complete_on_master(tid, res);
+                    shared.trace_task(&rec, node, &format!("worker{}", res.0), t0, now());
+                    shared.finish(node, tid, res, &ep).await;
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -520,51 +637,37 @@ pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
                     }
                 }
                 Ok(BodyOutcome::DeviceLost) => unreachable!("SMP body cannot lose a device"),
-                Ok(BodyOutcome::Abandoned) => unreachable!("node 0 cannot be killed"),
             }
         }
     }
 }
 
-/// GPU manager loop for a master-node GPU.
-pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, space: SpaceId) {
-    let dev = shared.gpus[&space].clone();
-    let stream = dev.create_stream(format!("mgr{}", space.0));
+/// GPU manager loop, the same on every node.
+pub(crate) async fn gpu_manager(
+    shared: Arc<RtShared>,
+    node: NodeId,
+    res: ResourceId,
+    space: SpaceId,
+    ep: AmEndpoint<ClusterMsg>,
+) {
+    let stream = shared.gpus[&space].create_stream(format!("mgr{}", space.0));
+    let bell = &shared.nodes[node as usize].bell;
     let mut next: Option<TaskId> = None;
     loop {
-        let tid = match next.take() {
-            Some(t) => t,
-            None => {
-                let t = { shared.master.lock().sched.next(res) };
-                match t {
-                    Some(t) => {
-                        shared.master.lock().graph.start(t);
-                        t
-                    }
-                    None => {
-                        if shared.master_bell.wait().await.is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                }
+        if shared.node_down(node) {
+            return;
+        }
+        let Some(tid) = next.take().or_else(|| shared.next_task(node, res)) else {
+            if bell.wait().await.is_err() {
+                return;
             }
+            continue;
         };
         let rec = shared.record(tid);
-        // Pick (and start) a prefetch candidate before launching.
+        // Pick a prefetch candidate before launching.
         let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
-            let t = {
-                let mut m = shared.master.lock();
-                match m.sched.next(res) {
-                    Some(n) => {
-                        m.graph.start(n);
-                        Some(n)
-                    }
-                    None => None,
-                }
-            };
-            next = t;
-            t.map(|n| shared.record(n))
+            next = shared.next_task(node, res);
+            next.map(|n| shared.record(n))
         } else {
             None
         };
@@ -574,11 +677,11 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
             // Prefetch only rides the first attempt; a retry must not
             // re-issue it (the copies are already inbound or pinned).
             let pf_arg = if attempts == 0 { pf.as_deref() } else { None };
-            match shared.run_gpu_body(&rec, space, 0, &stream, pf_arg).await {
-                Err(_) => return,
+            match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
+                Err(_) | Ok(BodyOutcome::Abandoned) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, 0, &format!("gpu{}", space.0), t0, now());
-                    shared.complete_on_master(tid, res);
+                    shared.trace_task(&rec, node, &format!("gpu{}", space.0), t0, now());
+                    shared.finish(node, tid, res, &ep).await;
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -587,10 +690,9 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
                     }
                 }
                 Ok(BodyOutcome::DeviceLost) => {
-                    shared.master_gpu_lost(res, space, tid, next.take());
+                    shared.gpu_lost(node, res, space, tid, next.take(), &ep);
                     return;
                 }
-                Ok(BodyOutcome::Abandoned) => unreachable!("node 0 cannot be killed"),
             }
         }
     }
@@ -650,7 +752,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
         }
         let progressed = !dispatched.is_empty();
         for (node, rec) in dispatched {
-            let host = shared.slaves[node as usize].host;
+            let host = shared.hosts[node as usize];
             let shared2 = shared.clone();
             let ep2 = ep.clone();
             // Helper process: data staging + Exec message, so sends to
@@ -717,23 +819,14 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                 if !ack_fresh(&shared, &ep, src, rel) {
                     continue;
                 }
-                let stale = {
+                {
                     let mut m = shared.master.lock();
                     if m.node_dead[src as usize] {
                         // The node was declared dead and this task was
                         // already re-homed; the straggler is dropped.
-                        true
-                    } else {
-                        match m.records[&task].desc.device {
-                            Device::Smp => m.inflight[src as usize].0 -= 1,
-                            Device::Cuda => m.inflight[src as usize].1 -= 1,
-                        }
-                        m.dispatched[src as usize].remove(&task);
-                        false
+                        continue;
                     }
-                };
-                if stale {
-                    continue;
+                    m.release_slot(src, task);
                 }
                 shared.complete_on_master(task, shared.proxy_res[src as usize]);
             }
@@ -748,17 +841,10 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                     if m.node_dead[src as usize] {
                         continue;
                     }
-                    match m.records[&task].desc.device {
-                        Device::Smp => m.inflight[src as usize].0 -= 1,
-                        Device::Cuda => m.inflight[src as usize].1 -= 1,
-                    }
-                    m.dispatched[src as usize].remove(&task);
-                    m.graph.reset_running(task);
-                    let rec = m.records[&task].clone();
-                    m.sched.submit(&rec.desc, &shared.master_oracle);
+                    m.release_slot(src, task);
+                    m.requeue(task, &shared.master_oracle);
                 }
-                shared.master_bell.ring();
-                shared.comm_bell.ring();
+                shared.wake(0);
             }
             ClusterMsg::GpuDown { rel } => {
                 if !ack_fresh(&shared, &ep, src, rel) {
@@ -778,8 +864,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                         m.sched.forbid(shared.proxy_res[src as usize], Device::Cuda);
                     }
                 }
-                shared.master_bell.ring();
-                shared.comm_bell.ring();
+                shared.wake(0);
             }
             ClusterMsg::Pong { node } => {
                 if let Some(lease) = &shared.lease {
@@ -819,11 +904,11 @@ pub(crate) async fn slave_dispatcher(
                     continue;
                 }
                 let rec = shared.record(task);
-                let slave = &shared.slaves[node as usize];
+                let this = &shared.nodes[node as usize];
                 let orphans = {
-                    let mut s = slave.sched.lock();
+                    let mut s = this.sched.lock();
                     s.submit(&rec.desc, &shared.slave_oracle);
-                    if slave.gpu_lost.load(Relaxed) {
+                    if this.gpu_lost.load(Relaxed) {
                         // This Exec may have raced the GpuDown notice:
                         // hand back anything no local resource serves.
                         s.drain_unservable()
@@ -842,7 +927,7 @@ pub(crate) async fn slave_dispatcher(
                         .await;
                     });
                 }
-                slave.bell.ring();
+                shared.wake(node);
             }
             ClusterMsg::Ping => {
                 // Renew the master's lease on this node. Detached and
@@ -860,157 +945,11 @@ pub(crate) async fn slave_dispatcher(
     }
 }
 
-/// SMP worker loop on a slave node.
-pub(crate) async fn slave_smp_worker(
-    shared: Arc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    ep: AmEndpoint<ClusterMsg>,
-) {
-    let space = shared.slaves[node as usize].host;
-    loop {
-        if shared.node_down(node) {
-            return;
-        }
-        let tid = { shared.slaves[node as usize].sched.lock().next(res) };
-        let Some(tid) = tid else {
-            if shared.slaves[node as usize].bell.wait().await.is_err() {
-                return;
-            }
-            continue;
-        };
-        let rec = shared.record(tid);
-        let mut attempts = 0u32;
-        loop {
-            let t0 = now();
-            match shared.run_smp_body(&rec, space, node).await {
-                Err(_) => return,
-                Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("worker{}", res.0), t0, now());
-                    crate::stats::Counters::add(&shared.counters.am_done, 1);
-                    send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
-                        .await;
-                    break;
-                }
-                Ok(BodyOutcome::Failed) => {
-                    if !shared.note_retry(&rec, &mut attempts) {
-                        return;
-                    }
-                }
-                Ok(BodyOutcome::DeviceLost) => unreachable!("SMP body cannot lose a device"),
-                Ok(BodyOutcome::Abandoned) => return,
-            }
-        }
-    }
-}
-
-/// GPU manager loop on a slave node.
-pub(crate) async fn slave_gpu_manager(
-    shared: Arc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    space: SpaceId,
-    ep: AmEndpoint<ClusterMsg>,
-) {
-    let dev = shared.gpus[&space].clone();
-    let stream = dev.create_stream(format!("mgr{}", space.0));
-    let mut next: Option<TaskId> = None;
-    loop {
-        if shared.node_down(node) {
-            return;
-        }
-        let tid = match next.take() {
-            Some(t) => t,
-            None => {
-                let t = { shared.slaves[node as usize].sched.lock().next(res) };
-                match t {
-                    Some(t) => t,
-                    None => {
-                        if shared.slaves[node as usize].bell.wait().await.is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-            }
-        };
-        let rec = shared.record(tid);
-        let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
-            let t = { shared.slaves[node as usize].sched.lock().next(res) };
-            next = t;
-            t.map(|n| shared.record(n))
-        } else {
-            None
-        };
-        let mut attempts = 0u32;
-        loop {
-            let t0 = now();
-            let pf_arg = if attempts == 0 { pf.as_deref() } else { None };
-            match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
-                Err(_) => return,
-                Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("gpu{}", space.0), t0, now());
-                    crate::stats::Counters::add(&shared.counters.am_done, 1);
-                    send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
-                        .await;
-                    break;
-                }
-                Ok(BodyOutcome::Failed) => {
-                    if !shared.note_retry(&rec, &mut attempts) {
-                        return;
-                    }
-                }
-                Ok(BodyOutcome::DeviceLost) => {
-                    slave_gpu_lost(&shared, node, res, space, tid, next.take(), &ep);
-                    return;
-                }
-                Ok(BodyOutcome::Abandoned) => return,
-            }
-        }
-    }
-}
-
-/// Slave-side whole-device loss: blacklist the manager's resource in
-/// the local scheduler (migrating its queue), re-queue the in-hand and
-/// any prefetched task, then hand everything the node can no longer
-/// serve back to the master as `Failed` — after a `GpuDown` notice so
-/// the master throttles CUDA dispatch to this node.
-#[allow(clippy::too_many_arguments)]
-fn slave_gpu_lost(
-    shared: &Arc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    space: SpaceId,
-    tid: TaskId,
-    prefetched: Option<TaskId>,
-    ep: &AmEndpoint<ClusterMsg>,
-) {
-    crate::stats::Counters::add(&shared.counters.devices_lost, 1);
-    let slave = &shared.slaves[node as usize];
-    slave.gpu_lost.store(true, Relaxed);
-    let requeue: Vec<Arc<TaskRecord>> =
-        std::iter::once(tid).chain(prefetched).map(|t| shared.record(t)).collect();
-    let orphans = {
-        let mut s = slave.sched.lock();
-        s.deactivate(res);
-        for rec in &requeue {
-            s.submit(&rec.desc, &shared.slave_oracle);
-        }
-        s.drain_unservable()
-    };
-    shared.coh.invalidate_space(space);
-    if let Some(tr) = &shared.tracer {
-        tr.record(TraceEvent::Recovery { kind: "device_lost", task: Some(tid.0), at: now() });
-    }
-    let shared2 = shared.clone();
-    let ep2 = ep.clone();
-    process(format!("gpu-down:n{node}")).daemon().spawn(async move {
-        send_msg(&shared2, &ep2, 0, "GpuDown", |rel| ClusterMsg::GpuDown { rel }).await;
-        for t in orphans {
-            send_msg(&shared2, &ep2, 0, "Failed", |rel| ClusterMsg::Failed { task: t, rel }).await;
-        }
-    });
-    slave.bell.ring();
+/// Park for `d`. True when it elapsed mid-run; false when the program
+/// finished first (or the run shut down), so a planned event or chaos
+/// daemon stands down instead of driving virtual time past the makespan.
+async fn mid_run(shared: &RtShared, d: SimDuration) -> bool {
+    matches!(shared.done.wait_timeout(d).await, Ok(false))
 }
 
 /// The planned node-kill: at the armed virtual instant the slave's
@@ -1024,18 +963,17 @@ pub(crate) async fn node_kill(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: kill
-        _ => return,    // program finished first (or shutdown): stand down
+    if !mid_run(&shared, at).await {
+        return;
     }
-    shared.slaves[node as usize].dead.store(true, Relaxed);
+    shared.nodes[node as usize].dead.store(true, Relaxed);
     fabric.kill_node(node);
     if let Some(plan) = &shared.faults {
         plan.note_injected(FaultClass::NodeLoss);
     }
     // Wake the node's parked processes so they observe the flag and
     // stop instead of sleeping through their own death.
-    shared.slaves[node as usize].bell.ring();
+    shared.wake(node);
 }
 
 /// The planned node-join: at the armed virtual instant the new node's
@@ -1053,9 +991,8 @@ pub(crate) async fn node_join(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: join
-        _ => return,    // program finished first (or shutdown): stand down
+    if !mid_run(&shared, at).await {
+        return;
     }
     if shared.node_down(node) {
         return; // killed before it came up: it stays down
@@ -1088,22 +1025,14 @@ pub(crate) async fn node_join(
                         continue; // crashed members never receive slices
                     }
                     let new_home = shared.hosts[owner];
-                    if new_home == shared.hosts[h] || !shared.coh.migrate_ready(data, new_home) {
+                    if new_home == shared.hosts[h] {
                         continue;
                     }
-                    let info = shared.mem.data_info(data);
-                    let Ok(new_alloc) = shared.mem.rehome_data(data, new_home) else {
-                        continue; // new owner out of memory: stays put
-                    };
-                    let (r, b) = shared.coh.migrate_home(
-                        data,
-                        size,
-                        (info.home_space, info.home_alloc),
-                        new_home,
-                        new_alloc,
-                    );
-                    regions_moved += r as u64;
-                    bytes_moved += b;
+                    // Busy, or the new owner is out of memory: stays put.
+                    if let Ok(Some((r, b))) = move_slice(&shared, data, size, new_home) {
+                        regions_moved += r;
+                        bytes_moved += b;
+                    }
                 }
             }
             ms.seal();
@@ -1117,9 +1046,33 @@ pub(crate) async fn node_join(
     }
     // Wake the joiner's parked workers and the master's dispatch loops:
     // there is a new node to feed.
-    shared.slaves[node as usize].bell.ring();
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.wake(node);
+    shared.wake(0);
+}
+
+/// Move one slice's home to `new_home`, registry first, returning
+/// `(regions, bytes)` moved. `Ok(None)`: its copies are busy (pinned or
+/// mid-transfer), so it stays put for now; `Err`: the new home is out
+/// of memory.
+fn move_slice(
+    shared: &RtShared,
+    data: DataId,
+    size: u64,
+    new_home: SpaceId,
+) -> Result<Option<(u64, u64)>, OutOfMemory> {
+    if !shared.coh.migrate_ready(data, new_home) {
+        return Ok(None);
+    }
+    let info = shared.mem.data_info(data);
+    let new_alloc = shared.mem.rehome_data(data, new_home)?;
+    let (r, b) = shared.coh.migrate_home(
+        data,
+        size,
+        (info.home_space, info.home_alloc),
+        new_home,
+        new_alloc,
+    );
+    Ok(Some((r as u64, b)))
 }
 
 /// The planned node-drain — graceful elastic departure, the inverse of
@@ -1148,9 +1101,8 @@ pub(crate) async fn node_drain(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: drain
-        _ => return,    // program finished first (or shutdown): stand down
+    if !mid_run(&shared, at).await {
+        return;
     }
     // 1. Quiesce: no new dispatch to the leaver.
     {
@@ -1230,14 +1182,12 @@ pub(crate) async fn node_drain(
                 // (only joins and drains advance it). Never re-home
                 // onto a dead node: the master adopts those slices.
                 let owner = if m.node_dead[owner as usize] { 0 } else { owner };
-                let new_home = shared.hosts[owner as usize];
-                if !shared.coh.migrate_ready(data, new_home) {
-                    busy += 1;
-                    continue;
-                }
-                let info = shared.mem.data_info(data);
-                let new_alloc = match shared.mem.rehome_data(data, new_home) {
-                    Ok(a) => a,
+                match move_slice(&shared, data, size, shared.hosts[owner as usize]) {
+                    Ok(Some((r, b))) => {
+                        regions_moved += r;
+                        bytes_moved += b;
+                    }
+                    Ok(None) => busy += 1,
                     Err(e) => {
                         drop(m);
                         abort_run(RunError::Exhausted {
@@ -1246,16 +1196,7 @@ pub(crate) async fn node_drain(
                         });
                         return;
                     }
-                };
-                let (r, b) = shared.coh.migrate_home(
-                    data,
-                    size,
-                    (info.home_space, info.home_alloc),
-                    new_home,
-                    new_alloc,
-                );
-                regions_moved += r as u64;
-                bytes_moved += b;
+                }
             }
             busy
         };
@@ -1292,14 +1233,12 @@ pub(crate) async fn node_drain(
             });
             return;
         }
-        m.node_dead[node as usize] = true;
-        m.cuda_alive[node as usize] = 0;
-        m.inflight[node as usize] = (0, 0);
+        m.retire(node);
         if let Some(lease) = &shared.lease {
             lease.lock().untrack(node);
         }
     }
-    shared.slaves[node as usize].dead.store(true, Relaxed);
+    shared.nodes[node as usize].dead.store(true, Relaxed);
     fabric.set_offline(node);
     crate::stats::Counters::add(&shared.counters.nodes_drained, 1);
     crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
@@ -1307,9 +1246,8 @@ pub(crate) async fn node_drain(
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_drain", task: None, at: now() });
     }
-    shared.slaves[node as usize].bell.ring();
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.wake(node);
+    shared.wake(0);
 }
 
 /// The master's lease monitor (armed-only): probes every live slave on
@@ -1319,9 +1257,8 @@ pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterM
     let Some(lease) = &shared.lease else { return };
     let period = lease.lock().config().period;
     loop {
-        match shared.done.wait_timeout(period).await {
-            Ok(false) => {} // a full period elapsed mid-run: probe
-            _ => return,    // program finished (or shutdown): stand down
+        if !mid_run(&shared, period).await {
+            return;
         }
         let dead = {
             let mut l = lease.lock();
@@ -1372,9 +1309,7 @@ pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
     }
     {
         let mut m = shared.master.lock();
-        m.node_dead[node as usize] = true;
-        m.cuda_alive[node as usize] = 0;
-        m.inflight[node as usize] = (0, 0);
+        m.retire(node);
         let orphans = m.sched.withdraw(shared.proxy_res[node as usize]);
         if !orphans.is_empty() {
             drop(m);
@@ -1387,9 +1322,7 @@ pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
         let stranded: Vec<TaskId> =
             std::mem::take(&mut m.dispatched[node as usize]).into_iter().collect();
         for t in stranded {
-            m.graph.reset_running(t);
-            let rec = m.records[&t].clone();
-            m.sched.submit(&rec.desc, &shared.master_oracle);
+            m.requeue(t, &shared.master_oracle);
         }
         if let Some(r) = &shared.rel {
             r.abandon_node(node);
@@ -1429,8 +1362,7 @@ pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
             return;
         }
     }
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.wake(0);
 }
 
 /// Send one control message: reliably (park until the ack arrives,

@@ -11,20 +11,17 @@
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ompss_coherence::{
-    CachePolicy, Coherence, CoherenceStats, MembershipEpochs, ShardMap, Topology,
-};
+use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, Topology};
 use ompss_core::{TaskGraph, TaskId};
 use ompss_cudasim::{GpuDevice, GpuStats, PinnedPool};
 use ompss_json::{Json, ToJson};
 use ompss_mem::{DataId, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
 use ompss_net::{AmNet, AmStats, NetStats};
-use ompss_sched::{ResourceInfo, ResourceKind, SchedStats, Scheduler};
+use ompss_sched::{ResourceId, ResourceInfo, ResourceKind, SchedStats, Scheduler};
 use ompss_sim::{
     delay, now, process, Bell, DeviceFuse, FaultClass, FaultPlan, FaultStats, Latch, RunError,
     Signal, Sim, SimDuration, SimTime,
@@ -32,9 +29,9 @@ use ompss_sim::{
 
 use crate::config::RuntimeConfig;
 use crate::engine::{
-    comm_thread, device_has_resource, lease_monitor, master_dispatcher, master_gpu_manager,
-    master_smp_worker, node_drain, node_join, node_kill, slave_dispatcher, slave_gpu_manager,
-    slave_smp_worker, MasterState, RtShared, SlaveState, SpanOracle,
+    comm_thread, device_has_resource, gpu_manager, lease_monitor, master_dispatcher, node_drain,
+    node_join, node_kill, slave_dispatcher, smp_worker, MasterState, NodeState, RtShared,
+    SpanOracle,
 };
 use crate::exec::RtExec;
 use crate::recover::Reliability;
@@ -42,6 +39,10 @@ use crate::stats::{CounterSnapshot, Counters};
 use crate::task::TaskSpec;
 use crate::trace::{TraceEvent, Tracer};
 use crate::verify::{VerifyData, VerifySink};
+
+/// One node's execution resources: SMP workers, then GPU managers with
+/// their device spaces.
+type NodeRes = (Vec<ResourceId>, Vec<(ResourceId, SpaceId)>);
 
 /// Measured outcome of a run.
 #[derive(Debug, Clone)]
@@ -312,25 +313,17 @@ impl Omp {
     /// Allocate a typed array in its home host memory: the master's
     /// under the flat control plane, the shard owner's under
     /// [`RuntimeConfig::with_sharded_control`] — every node computes
-    /// the owner locally from the [`ShardMap`], no directory round
-    /// trip.
+    /// the owner locally from the current membership epoch's
+    /// [`ompss_coherence::ShardMap`], no directory round trip.
     pub fn alloc_array<T: Scalar>(&self, len: usize) -> ArrayHandle<T> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let cfg = &self.shared.cfg;
-        let home = if cfg.sharded() && cfg.nodes > 1 {
-            // Under elastic membership the owner comes from the current
-            // epoch's member list; a static cluster is just epoch 0, so
-            // the unarmed path is the identical pure-function lookup.
-            let owner = match &self.shared.membership {
-                Some(ms) => ms.lock().owner(self.shared.mem.next_data_id()),
-                None => {
-                    ShardMap::new(cfg.shards).owner_node(self.shared.mem.next_data_id(), cfg.nodes)
-                }
-            };
-            Counters::add(&self.shared.counters.shard_lookups, 1);
-            self.shared.hosts[owner as usize]
-        } else {
-            self.shared.hosts[0]
+        let home = match &self.shared.membership {
+            Some(ms) => {
+                let owner = ms.lock().owner(self.shared.mem.next_data_id());
+                Counters::add(&self.shared.counters.shard_lookups, 1);
+                self.shared.hosts[owner as usize]
+            }
+            None => self.shared.hosts[0],
         };
         let data = self.shared.mem.register_data(bytes, home).expect("home host out of memory");
         ArrayHandle { data, len, _t: PhantomData }
@@ -395,8 +388,7 @@ impl Omp {
             m.records.insert(id, rec);
             handle
         };
-        self.shared.master_bell.ring();
-        self.shared.comm_bell.ring();
+        self.shared.wake(0);
         handle
     }
 
@@ -483,12 +475,11 @@ impl Omp {
         make: impl Fn(Range<usize>) -> TaskSpec,
     ) {
         assert!(block > 0, "block size must be positive");
-        let cfg = &self.shared.cfg;
-        if cfg.sharded() && cfg.nodes > 1 {
+        if let Some(ms) = &self.shared.membership {
             // Route each block to the owner of the data it writes (its
             // first dependence when it writes nothing).
-            let map = ShardMap::new(cfg.shards);
-            let mut parts: Vec<Vec<TaskSpec>> = (0..cfg.nodes).map(|_| Vec::new()).collect();
+            let mut parts: Vec<Vec<TaskSpec>> =
+                (0..self.shared.cfg.nodes).map(|_| Vec::new()).collect();
             let mut start = range.start;
             while start < range.end {
                 let end = (start + block).min(range.end);
@@ -500,10 +491,7 @@ impl Omp {
                     .or_else(|| spec.deps.first())
                     .map(|a| a.region.data)
                     .unwrap_or(DataId(0));
-                let owner = match &self.shared.membership {
-                    Some(ms) => ms.lock().owner(key),
-                    None => map.owner_node(key, cfg.nodes),
-                };
+                let owner = ms.lock().owner(key);
                 parts[owner as usize].push(spec);
                 start = end;
             }
@@ -576,8 +564,9 @@ impl Runtime {
         // A self-contradictory config is rejected before any machine is
         // built — a structured error, not a mid-run surprise. The
         // builder asserts the same invariants, but the env-var path
-        // (`OMPSS_HEARTBEAT_*`, `OMPSS_NODE_JOIN`/`OMPSS_NODE_DRAIN`)
-        // reaches here unchecked.
+        // (`OMPSS_HEARTBEAT_*`, `OMPSS_FAULT_NODE_LOSS`,
+        // `OMPSS_NODE_JOIN`/`OMPSS_NODE_DRAIN`) reaches here unchecked.
+        // Node 0 is never a target: its processes never stop.
         if cfg.heartbeat_period >= cfg.lease_window {
             return Err(RunError::InvalidConfig {
                 what: format!(
@@ -588,13 +577,18 @@ impl Runtime {
                 ),
             });
         }
-        for (knob, armed) in [("node_join", cfg.node_join), ("node_drain", cfg.node_drain)] {
+        let planned = [
+            ("node_loss", cfg.node_loss),
+            ("node_join", cfg.node_join),
+            ("node_drain", cfg.node_drain),
+        ];
+        for (knob, armed) in planned {
             if let Some((node, _)) = armed {
                 if node == 0 || node >= cfg.nodes {
                     return Err(RunError::InvalidConfig {
                         what: format!(
                             "{knob} targets node {node}, but valid slaves are 1..{} \
-                             (node 0 is the master and can neither join nor drain)",
+                             (node 0 is the master: it cannot be lost, join or drain)",
                             cfg.nodes
                         ),
                     });
@@ -611,7 +605,6 @@ impl Runtime {
             None => None,
         };
         if let (Some(plan), Some((node, at))) = (&faults, cfg.node_loss) {
-            assert!(node < cfg.nodes, "node-loss target {node} outside the cluster");
             plan.arm_node_loss(node, at.as_nanos());
         }
         // Rate-based recovery assumes a failed or lost device never
@@ -686,13 +679,14 @@ impl Runtime {
         });
         let pinned: Vec<Arc<PinnedPool>> =
             (0..cfg.nodes).map(|_| Arc::new(PinnedPool::new(cfg.pinned_pool))).collect();
-        // The fabric inside the AM net is what the executor shares.
+        // The fabric inside the AM net is what the executor shares: its
+        // `Data` messages contend with control traffic for NIC ports.
         let exec = Arc::new(RtExec::new(
             mem.clone(),
             gpus.clone(),
             node_of.clone(),
             pinned,
-            am_fabric(&am),
+            am.fabric_clone(),
             cfg.overlap,
             tracer.clone(),
             counters.clone(),
@@ -702,43 +696,43 @@ impl Runtime {
             Coherence::new(mem.clone(), topo, cfg.cache_policy).with_validation(cfg.verify),
         );
 
-        // ---- master scheduler and resources --------------------------
-        let mut sched = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-        let mut node_of = std::collections::HashMap::new();
-        let mut master_workers = Vec::new();
-        for _ in 0..cfg.cpu_workers_per_node {
-            master_workers.push(sched.register(ResourceInfo {
-                kind: ResourceKind::SmpWorker,
-                space: hosts[0],
-                steal_group: 0,
-            }));
-        }
-        let mut master_gpu_res = Vec::new();
-        for &gs in &gpu_spaces[0] {
-            master_gpu_res.push((
-                sched.register(ResourceInfo {
-                    kind: ResourceKind::GpuManager,
-                    space: gs,
-                    steal_group: 0,
-                }),
-                gs,
-            ));
-        }
+        // ---- schedulers and resources -------------------------------
+        // Every node registers the same resources: its SMP workers and
+        // GPU managers. Node 0's go into the master scheduler (steal
+        // group 0), each slave's into its own (steal group `n`); node
+        // 0's local scheduler stays empty.
+        let new_sched = || Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
+        let register_node = |sched: &mut Scheduler, n: usize| -> NodeRes {
+            let mut res =
+                |kind, space| sched.register(ResourceInfo { kind, space, steal_group: n as u32 });
+            let workers = (0..cfg.cpu_workers_per_node)
+                .map(|_| res(ResourceKind::SmpWorker, hosts[n]))
+                .collect();
+            let gpus =
+                gpu_spaces[n].iter().map(|&gs| (res(ResourceKind::GpuManager, gs), gs)).collect();
+            (workers, gpus)
+        };
+        let mut sched = new_sched();
+        let mut node_res = vec![register_node(&mut sched, 0)];
+        let mut nodes = vec![NodeState::new(new_sched())];
         // Node proxies, one per slave. All master-level resources share
         // one steal group: an idle node's proxy may re-route (steal) a
         // task still queued for another node — the load balancing the
         // paper's locality scheduler does. (Slaves never steal from each
         // other *after* dispatch; their schedulers are separate.)
-        let mut proxy_res = vec![ompss_sched::ResourceId(usize::MAX)];
-        for n in 1..cfg.nodes {
+        let mut proxy_res = vec![ResourceId(usize::MAX)];
+        let mut node_of = std::collections::HashMap::new();
+        for n in 1..cfg.nodes as usize {
             proxy_res.push(sched.register(ResourceInfo {
                 kind: ResourceKind::NodeProxy,
-                space: hosts[n as usize],
+                space: hosts[n],
                 steal_group: 0,
             }));
-            let host = hosts[n as usize];
-            node_of.insert(host, host);
-            node_of.extend(gpu_spaces[n as usize].iter().map(|&g| (g, host)));
+            node_of.insert(hosts[n], hosts[n]);
+            node_of.extend(gpu_spaces[n].iter().map(|&g| (g, hosts[n])));
+            let mut s = new_sched();
+            node_res.push(register_node(&mut s, n));
+            nodes.push(NodeState::new(s));
         }
         // An armed joiner starts absent: its proxy is out of service
         // (no placement, no affinity hints) until the planned join
@@ -748,55 +742,10 @@ impl Runtime {
         }
         let master_oracle = SpanOracle { coh: coh.clone(), node_of };
 
-        // ---- slave schedulers ----------------------------------------
-        let mut slaves = vec![SlaveState {
-            sched: Mutex::new(Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed)),
-            bell: Bell::new(),
-            host: hosts[0],
-            gpu_lost: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-        }];
-        type SlaveRes = (Vec<ompss_sched::ResourceId>, Vec<(ompss_sched::ResourceId, SpaceId)>);
-        let mut slave_res: Vec<SlaveRes> = vec![(Vec::new(), Vec::new())];
-        for n in 1..cfg.nodes as usize {
-            let mut s = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-            let mut workers = Vec::new();
-            for _ in 0..cfg.cpu_workers_per_node {
-                workers.push(s.register(ResourceInfo {
-                    kind: ResourceKind::SmpWorker,
-                    space: hosts[n],
-                    steal_group: n as u32,
-                }));
-            }
-            let mut gres = Vec::new();
-            for &gs in &gpu_spaces[n] {
-                gres.push((
-                    s.register(ResourceInfo {
-                        kind: ResourceKind::GpuManager,
-                        space: gs,
-                        steal_group: n as u32,
-                    }),
-                    gs,
-                ));
-            }
-            slaves.push(SlaveState {
-                sched: Mutex::new(s),
-                bell: Bell::new(),
-                host: hosts[n],
-                gpu_lost: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
-            });
-            slave_res.push((workers, gres));
-        }
-
         // Per-node purge set for node loss: losing a node loses its host
         // memory and every GPU attached to it.
         let node_spaces: Vec<Vec<SpaceId>> = (0..cfg.nodes as usize)
-            .map(|n| {
-                let mut v = vec![hosts[n]];
-                v.extend(gpu_spaces[n].iter().copied());
-                v
-            })
+            .map(|n| std::iter::once(hosts[n]).chain(gpu_spaces[n].iter().copied()).collect())
             .collect();
         let mut graph = TaskGraph::new();
         if cfg.node_loss.is_some() {
@@ -826,10 +775,9 @@ impl Runtime {
                     v
                 },
             }),
-            master_bell: Bell::new(),
             comm_bell: Bell::new(),
             master_oracle,
-            slaves,
+            nodes,
             slave_oracle: SpanOracle {
                 coh: coh.clone(),
                 node_of: std::collections::HashMap::new(),
@@ -858,7 +806,7 @@ impl Runtime {
                     SimTime(0),
                 ))
             }),
-            membership: (cfg.membership_enabled() && cfg.sharded() && cfg.nodes > 1).then(|| {
+            membership: (cfg.sharded() && cfg.nodes > 1).then(|| {
                 let members: Vec<u32> =
                     (0..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
                 Mutex::new(MembershipEpochs::new(cfg.shards, members))
@@ -868,46 +816,44 @@ impl Runtime {
         });
 
         // ---- processes ------------------------------------------------
+        // One loop spawns every node's image. Spawn order decides
+        // same-instant tie-breaks: node 0's resources, then its comm
+        // thread and dispatcher; then per slave its dispatcher and
+        // resources.
         let sim = Sim::new();
-        for (i, res) in master_workers.into_iter().enumerate() {
-            let sh = shared.clone();
-            sim.process(format!("node0:worker{i}")).daemon().spawn(master_smp_worker(sh, res));
-        }
-        for (res, gs) in master_gpu_res {
-            let sh = shared.clone();
-            sim.process(format!("node0:gpumgr{}", gs.0))
-                .daemon()
-                .spawn(master_gpu_manager(sh, res, gs));
-        }
-        if cfg.nodes > 1 {
-            let sh = shared.clone();
-            let ep = am.endpoint(0);
-            sim.process("node0:comm").daemon().spawn(comm_thread(sh, ep));
-            let sh = shared.clone();
-            let ep = am.endpoint(0);
-            sim.process("node0:dispatch").daemon().spawn(master_dispatcher(sh, ep));
-            for n in 1..cfg.nodes {
+        for (n, (workers, gres)) in node_res.into_iter().enumerate() {
+            let n = n as u32;
+            if n > 0 {
                 let sh = shared.clone();
                 let ep = am.endpoint(n);
                 sim.process(format!("node{n}:dispatch"))
                     .daemon()
                     .spawn(slave_dispatcher(sh, n, ep));
-                let (workers, gres) = slave_res[n as usize].clone();
-                for (i, res) in workers.into_iter().enumerate() {
-                    let sh = shared.clone();
-                    let ep = am.endpoint(n);
-                    sim.process(format!("node{n}:worker{i}"))
-                        .daemon()
-                        .spawn(slave_smp_worker(sh, n, res, ep));
-                }
-                for (res, gs) in gres {
-                    let sh = shared.clone();
-                    let ep = am.endpoint(n);
-                    sim.process(format!("node{n}:gpumgr{}", gs.0))
-                        .daemon()
-                        .spawn(slave_gpu_manager(sh, n, res, gs, ep));
-                }
             }
+            for (i, res) in workers.into_iter().enumerate() {
+                let sh = shared.clone();
+                let ep = am.endpoint(n);
+                sim.process(format!("node{n}:worker{i}"))
+                    .daemon()
+                    .spawn(smp_worker(sh, n, res, ep));
+            }
+            for (res, gs) in gres {
+                let sh = shared.clone();
+                let ep = am.endpoint(n);
+                sim.process(format!("node{n}:gpumgr{}", gs.0))
+                    .daemon()
+                    .spawn(gpu_manager(sh, n, res, gs, ep));
+            }
+            if n == 0 && cfg.nodes > 1 {
+                let sh = shared.clone();
+                let ep = am.endpoint(0);
+                sim.process("node0:comm").daemon().spawn(comm_thread(sh, ep));
+                let sh = shared.clone();
+                let ep = am.endpoint(0);
+                sim.process("node0:dispatch").daemon().spawn(master_dispatcher(sh, ep));
+            }
+        }
+        if cfg.nodes > 1 {
             if cfg.node_loss.is_some() {
                 let sh = shared.clone();
                 let ep = am.endpoint(0);
@@ -993,11 +939,4 @@ impl Runtime {
             faults: faults.as_ref().map(|p| p.stats()),
         })
     }
-}
-
-/// Extract the shared fabric from an AM network (they are the same
-/// object; the executor sends `Data` messages on it so bulk transfers
-/// contend with control traffic for NIC ports).
-fn am_fabric(am: &AmNet<crate::exec::ClusterMsg>) -> ompss_net::Fabric<crate::exec::ClusterMsg> {
-    am.fabric_clone()
 }

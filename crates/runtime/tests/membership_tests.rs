@@ -101,6 +101,17 @@ fn membership_targets_outside_the_cluster_are_rejected() {
         }),
         Err(RunError::InvalidConfig { .. })
     ));
+    // Node 0 runs the program, so it is no planned-kill target either.
+    let mut cfg = RuntimeConfig::gpu_cluster(2);
+    cfg.node_loss = Some((0, SimDuration::from_micros(10)));
+    match Runtime::try_run(cfg, |omp| async move {
+        omp.taskwait().await;
+    }) {
+        Err(RunError::InvalidConfig { what }) => {
+            assert!(what.contains("node_loss"), "unhelpful message: {what}")
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
 }
 
 #[test]
