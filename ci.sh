@@ -13,6 +13,7 @@
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
 #   ./ci.sh hostbench # the repo benchmark's own tests (release)
+#   ./ci.sh mc_defects # seeded-defect corpus of the model checker (cfg mc_defects build)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -73,7 +74,7 @@ mc_defects() {
 }
 
 # A named stage runs alone; `quick` or no argument runs the suite.
-stages=(verify chaos churn bench scale mc serve hostbench)
+stages=(verify chaos churn bench scale mc serve hostbench mc_defects)
 if [[ -n "${1:-}" && "$1" != quick ]]; then
     if [[ " ${stages[*]} " != *" $1 "* ]]; then
         echo "ci.sh: unknown stage '$1'; valid stages: quick ${stages[*]}" >&2

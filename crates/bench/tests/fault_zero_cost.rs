@@ -10,7 +10,7 @@
 
 use ompss_apps::matmul::ompss::InitMode;
 use ompss_apps::matmul::{self, MatmulParams};
-use ompss_runtime::{RunReport, RuntimeConfig};
+use ompss_runtime::{FaultSpec, RunReport, RuntimeConfig};
 
 fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64) {
     (r.makespan.as_nanos(), r.events, r.clock_advances, r.tasks)
@@ -20,8 +20,11 @@ fn assert_disarmed_is_free(cfg: RuntimeConfig) {
     let run = |cfg: RuntimeConfig| matmul::ompss::run(cfg, MatmulParams::validate(), InitMode::Smp);
     // Rate 0 with a seed and raised budgets: the knobs are set but no
     // fault can ever fire, so the plan must not be armed at all.
-    let disarmed =
-        cfg.clone().with_faults(42, 0.0).with_task_retry_budget(10).with_am_retry_budget(10);
+    let disarmed = cfg
+        .clone()
+        .with_faults(FaultSpec::new(42, 0.0))
+        .with_task_retry_budget(10)
+        .with_am_retry_budget(10);
     let (base, zero) = (run(cfg), run(disarmed));
     let (base_rep, zero_rep) = (base.report.as_ref().unwrap(), zero.report.as_ref().unwrap());
     assert_eq!(

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use ompss_apps::scenario::{App, Topology};
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_json::Json;
-use ompss_runtime::{CounterSnapshot, FaultClass, FaultPlan, RunError, RuntimeConfig, SimDuration};
+use ompss_runtime::{CounterSnapshot, FaultClass, FaultSpec, RunError, RuntimeConfig, SimDuration};
 use ompss_sweep::cli;
 
 /// The rate × seed sweep's topologies: the paper's single-node
@@ -78,26 +78,21 @@ fn main() {
     }
 
     // Queue every simulation in the grid — per (app, topology): the
-    // fault-free reference, then one chaos run per (rate, seed). The
-    // `FaultPlan` handles stay out here so `plan.stats()` is readable
-    // during assembly.
+    // fault-free reference, then one chaos run per (rate, seed).
     type RunTask = Box<dyn FnOnce() -> ompss_apps::common::AppRun + Send>;
     let mut tasks: Vec<RunTask> = Vec::new();
-    let mut plans: Vec<Arc<FaultPlan>> = Vec::new();
     for &app in &apps {
         for topo in TOPOLOGIES {
             tasks.push(Box::new(move || run_app(app, topo.config())));
             for &rate in &rates {
                 for &seed in &seeds {
-                    let plan = Arc::new(FaultPlan::new(seed, rate));
-                    plans.push(plan.clone());
-                    tasks.push(Box::new(move || chaos_run(app, topo.config(), plan)));
+                    let spec = FaultSpec::new(seed, rate);
+                    tasks.push(Box::new(move || chaos_run(app, topo.config(), spec)));
                 }
             }
         }
     }
     let mut results = ompss_sweep::run_jobs(ompss_sweep::jobs(), tasks).into_iter();
-    let mut plans = plans.into_iter();
 
     let mut cases = Json::array();
     let mut divergences = 0usize;
@@ -112,7 +107,6 @@ fn main() {
             let ref_out = output_of(&reference).to_vec();
             for &rate in &rates {
                 for &seed in &seeds {
-                    let plan = plans.next().expect("one plan per queued chaos run");
                     let run = results.next().expect("one result per queued run");
                     let identical = output_of(&run) == ref_out.as_slice();
                     if !identical {
@@ -120,7 +114,7 @@ fn main() {
                     }
                     let rep = run.report.as_ref().expect("ompss app run carries a report");
                     let c = &rep.counters;
-                    let stats = plan.stats();
+                    let stats = rep.faults.unwrap_or_default();
                     let mut case = Json::object()
                         .field("app", app.name())
                         .field("topology", topo.name())

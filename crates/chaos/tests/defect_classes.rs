@@ -5,25 +5,26 @@
 //! (bit-identical output).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use ompss_apps::{common::AppRun, scenario::App};
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_core::Device;
+use ompss_json::ToJson;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, SimTime, TaskSpec,
-    TraceEvent,
+    FaultClass, FaultSpec, KernelCost, RunError, RunReport, Runtime, RuntimeConfig, SimTime,
+    TaskSpec, TraceEvent,
 };
 
 #[test]
 fn dropped_am_recovered_by_retransmission() {
     let cfg = RuntimeConfig::gpu_cluster(2);
     let reference = output_of(&run_app(App::Stream, cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(11).with_rate(FaultClass::NetDrop, 0.25));
-    let run = chaos_run(App::Stream, cfg, plan.clone());
-    assert!(plan.stats().count(FaultClass::NetDrop) >= 1, "the plan never dropped a message");
+    let spec = FaultSpec::quiet(11).with_rate(FaultClass::NetDrop, 0.25);
+    let run = chaos_run(App::Stream, cfg, spec);
     let rep = run.report.as_ref().expect("report");
+    let dropped = rep.faults.expect("armed run").count(FaultClass::NetDrop);
+    assert!(dropped >= 1, "the plan never dropped a message");
     assert!(rep.counters.am_retries >= 1, "a dropped control message must be retransmitted");
     assert_eq!(output_of(&run), reference.as_slice(), "recovery must be lossless");
 }
@@ -32,10 +33,11 @@ fn dropped_am_recovered_by_retransmission() {
 fn duplicated_am_deduplicated() {
     let cfg = RuntimeConfig::gpu_cluster(2);
     let reference = run_app(App::Stream, cfg.clone());
-    let plan = Arc::new(FaultPlan::quiet(5).with_rate(FaultClass::NetDup, 0.5));
-    let run = chaos_run(App::Stream, cfg, plan.clone());
-    assert!(plan.stats().count(FaultClass::NetDup) >= 1, "the plan never duplicated a message");
+    let spec = FaultSpec::quiet(5).with_rate(FaultClass::NetDup, 0.5);
+    let run = chaos_run(App::Stream, cfg, spec);
     let rep = run.report.as_ref().expect("report");
+    let duplicated = rep.faults.expect("armed run").count(FaultClass::NetDup);
+    assert!(duplicated >= 1, "the plan never duplicated a message");
     let ref_rep = reference.report.as_ref().expect("report");
     assert_eq!(rep.tasks, ref_rep.tasks, "a duplicated Exec must not run its task twice");
     assert_eq!(output_of(&run), output_of(&reference), "recovery must be lossless");
@@ -98,8 +100,7 @@ fn recovery_node(run: &AppRun, reference: &AppRun, kind: &str) -> u32 {
 fn forced_gpu_fault(app: App, cfg: RuntimeConfig, class: FaultClass, seed: u64, node: u32) {
     let cfg = cfg.with_tracing(true);
     let reference = run_app(app, cfg.clone());
-    let plan = Arc::new(FaultPlan::quiet(seed).with_forced(class, 1));
-    let run = chaos_run(app, cfg, plan);
+    let run = chaos_run(app, cfg, FaultSpec::quiet(seed).with_forced(class, 1));
     let rep = run.report.as_ref().expect("report");
     let (recovered, kind) = match class {
         FaultClass::KernelFail => (rep.counters.tasks_reexecuted, "task_retry"),
@@ -133,15 +134,11 @@ fn device_loss_migrates_queued_work() {
     forced_gpu_fault(App::Matmul, slave_first_cluster(), FaultClass::DeviceLoss, 7, 1);
 }
 
-#[test]
-fn exhausted_budget_yields_run_error_not_panic() {
-    // Every kernel launch fails and there is only one GPU, so the task
-    // burns its whole retry budget and the run must surface that as a
-    // value through `try_run`.
-    let plan = Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::KernelFail, u64::MAX));
-    let cfg = RuntimeConfig::multi_gpu(1).with_fault_plan(plan);
-    let budget = cfg.task_retry_budget;
-    let result = Runtime::try_run(cfg, |omp| async move {
+/// One CUDA task on a single-GPU node under `faults`: with every
+/// kernel launch forced to fail, it can only exhaust its retry budget.
+fn run_doomed_kernel(faults: FaultSpec) -> Result<RunReport, RunError> {
+    let cfg = RuntimeConfig::multi_gpu(1).with_faults(faults);
+    Runtime::try_run(cfg, |omp| async move {
         let a = omp.alloc_array::<f32>(256);
         omp.write_array(&a, 0, &vec![1.0f32; 256]);
         omp.submit(
@@ -156,11 +153,50 @@ fn exhausted_budget_yields_run_error_not_panic() {
                 }),
         )
         .await;
-    });
-    match result {
+    })
+}
+
+#[test]
+fn exhausted_budget_yields_run_error_not_panic() {
+    // Every kernel launch fails and there is only one GPU, so the task
+    // burns its whole retry budget and the run must surface that as a
+    // value through `try_run`.
+    let budget = RuntimeConfig::multi_gpu(1).task_retry_budget;
+    match run_doomed_kernel(FaultSpec::quiet(1).with_forced(FaultClass::KernelFail, u64::MAX)) {
         Err(RunError::Exhausted { attempts, .. }) => {
             assert_eq!(attempts, budget + 1, "budget + 1 attempts before giving up")
         }
         other => panic!("expected RunError::Exhausted, got {other:?}"),
     }
+}
+
+#[test]
+fn failure_is_tagged_with_the_spec_that_armed_the_run() {
+    // The tag must reproduce the run: the spec's own seed and its forced
+    // count, not the configuration defaults.
+    let spec = FaultSpec::quiet(77).with_forced(FaultClass::KernelFail, u64::MAX);
+    match run_doomed_kernel(spec) {
+        Err(RunError::Exhausted { what, .. }) => assert!(
+            what.ends_with(&format!(
+                " [fault_seed=77 fault_rate=0 kernel_fail_forced={}]",
+                u64::MAX
+            )),
+            "wrong reproduction coordinates: {what}"
+        ),
+        other => panic!("expected RunError::Exhausted, got {other:?}"),
+    }
+}
+
+#[test]
+fn armed_config_replays_identically_when_rerun() {
+    // A configuration is plain data: every run draws from a fresh plan,
+    // so running one armed config twice injects the same faults and
+    // produces the same report, fault tallies included.
+    let cfg = RuntimeConfig::gpu_cluster(2).with_faults(FaultSpec::new(3, 0.1));
+    let (first, second) = (run_app(App::Stream, cfg.clone()), run_app(App::Stream, cfg));
+    let (a, b) = (first.report.expect("report"), second.report.expect("report"));
+    assert!(a.faults.expect("armed run").total() > 0, "rate 0.1 must inject something");
+    assert_eq!(a.faults, b.faults, "the rerun drew a different fault stream");
+    assert_eq!(a.makespan, b.makespan, "the rerun changed the virtual timeline");
+    assert_eq!(a.to_json().to_compact_string(), b.to_json().to_compact_string());
 }

@@ -503,7 +503,7 @@ impl PinnedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompss_sim::{now, yield_now, Sim};
+    use ompss_sim::{now, yield_now, FaultSpec, Sim};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_spec() -> GpuSpec {
@@ -681,7 +681,7 @@ mod tests {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
         gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::KernelFail, 1)),
+            Arc::new(FaultPlan::new(FaultSpec::quiet(7).with_forced(FaultClass::KernelFail, 1))),
             DeviceFuse::new(2),
         );
         let ran = Arc::new(AtomicU64::new(0));
@@ -717,7 +717,7 @@ mod tests {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
         gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1)),
+            Arc::new(FaultPlan::new(FaultSpec::quiet(7).with_forced(FaultClass::DeviceLoss, 1))),
             DeviceFuse::new(2),
         );
         let g2 = gpu.clone();
@@ -744,7 +744,7 @@ mod tests {
         // A single-device machine: the fuse refuses the loss and the
         // draw degrades into a recoverable kernel failure.
         gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1)),
+            Arc::new(FaultPlan::new(FaultSpec::quiet(7).with_forced(FaultClass::DeviceLoss, 1))),
             DeviceFuse::new(1),
         );
         let g2 = gpu.clone();
@@ -761,7 +761,7 @@ mod tests {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
         gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::CopyCorrupt, 1)),
+            Arc::new(FaultPlan::new(FaultSpec::quiet(7).with_forced(FaultClass::CopyCorrupt, 1))),
             DeviceFuse::new(2),
         );
         let applied = Arc::new(AtomicU64::new(0));

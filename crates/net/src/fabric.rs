@@ -305,7 +305,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompss_sim::{now, Sim};
+    use ompss_sim::{now, FaultSpec, Sim};
 
     fn cfg() -> FabricConfig {
         // 1 GB/s, 1 µs latency: a 1000-byte message takes 2 µs.
@@ -445,7 +445,9 @@ mod tests {
     fn forced_drop_occupies_wire_but_never_delivers() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::NetDrop, 1)));
+        fab.set_fault_plan(Arc::new(FaultPlan::new(
+            FaultSpec::quiet(1).with_forced(FaultClass::NetDrop, 1),
+        )));
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(0, 1, 1000, 7).await.unwrap();
@@ -461,7 +463,9 @@ mod tests {
     fn forced_dup_delivers_twice() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::NetDup, 1)));
+        fab.set_fault_plan(Arc::new(FaultPlan::new(
+            FaultSpec::quiet(1).with_forced(FaultClass::NetDup, 1),
+        )));
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(0, 1, 100, 9).await.unwrap();
@@ -477,9 +481,9 @@ mod tests {
         let run = || {
             let sim = Sim::new();
             let fab: Fabric<u32> = Fabric::new(cfg());
-            fab.set_fault_plan(Arc::new(
-                FaultPlan::new(5, 0.0).with_rate(FaultClass::NetDelay, 1.0),
-            ));
+            fab.set_fault_plan(Arc::new(FaultPlan::new(
+                FaultSpec::new(5, 0.0).with_rate(FaultClass::NetDelay, 1.0),
+            )));
             let f = fab.clone();
             let t = Arc::new(Mutex::new(0u64));
             let t2 = t.clone();
@@ -501,11 +505,11 @@ mod tests {
     fn loopback_is_immune_to_faults() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(
-            FaultPlan::quiet(1)
+        fab.set_fault_plan(Arc::new(FaultPlan::new(
+            FaultSpec::quiet(1)
                 .with_forced(FaultClass::NetDrop, u64::MAX)
                 .with_forced(FaultClass::NetDup, u64::MAX),
-        ));
+        )));
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(2, 2, 64, 3).await.unwrap();

@@ -5,13 +5,11 @@
 //! overlap, prefetch, plus the platform shape (nodes, GPUs, specs).
 //! Presets reproduce the paper's two testbeds.
 
-use std::sync::Arc;
-
 use ompss_cudasim::GpuSpec;
 use ompss_mem::Backing;
 use ompss_net::FabricConfig;
 use ompss_sched::Policy;
-use ompss_sim::{FaultPlan, RunError, SimDuration};
+use ompss_sim::{FaultSpec, RunError, SimDuration};
 
 pub use ompss_coherence::{CachePolicy, SlaveRouting};
 
@@ -72,24 +70,19 @@ pub struct RuntimeConfig {
     /// randomly but reproducibly. The verify binary's schedule
     /// exploration reruns apps under several seeds and diffs results.
     pub sched_seed: u64,
-    /// Chaos injection rate (`OMPSS_FAULT_RATE`): probability that any
-    /// one fault draw fires. `0.0` (default) disables injection and the
-    /// whole recovery machinery — runs are bit- and time-identical to a
-    /// build without it.
-    pub fault_rate: f64,
-    /// Seed of the deterministic fault stream (`OMPSS_FAULT_SEED`).
-    /// Same seed + same rate = the same faults at the same draws.
-    pub fault_seed: u64,
+    /// Chaos injection (`OMPSS_FAULT_RATE`, `OMPSS_FAULT_SEED`): the
+    /// seeded fault stream each run draws from afresh, so the same
+    /// spec injects the same faults at the same draws on every run. A
+    /// spec that can never fire (the default: rate 0) disables
+    /// injection and the whole recovery machinery — runs are bit- and
+    /// time-identical to a build without it.
+    pub faults: FaultSpec,
     /// Times a failed task is re-executed before the run aborts with
     /// [`ompss_sim::RunError::Exhausted`].
     pub task_retry_budget: u32,
     /// Times an unacknowledged cluster message is retransmitted before
     /// the run aborts with [`ompss_sim::RunError::Exhausted`].
     pub am_retry_budget: u32,
-    /// A pre-armed fault plan. Overrides `fault_seed`/`fault_rate`:
-    /// harnesses use [`FaultPlan::with_forced`] to pin one specific
-    /// fault class deterministically instead of sweeping a rate.
-    pub fault_plan: Option<Arc<FaultPlan>>,
     /// Planned whole-node kill (`OMPSS_FAULT_NODE_LOSS`): slave node
     /// index and the virtual instant it dies. Arms the heartbeat/lease
     /// protocol and lineage retention; `None` (default) spawns none of
@@ -161,11 +154,9 @@ impl RuntimeConfig {
             tracing: false,
             verify: false,
             sched_seed: 0,
-            fault_rate: 0.0,
-            fault_seed: 1,
+            faults: FaultSpec::default(),
             task_retry_budget: 3,
             am_retry_budget: 8,
-            fault_plan: None,
             node_loss: None,
             heartbeat_period: SimDuration::from_micros(200),
             lease_window: SimDuration::from_micros(1000),
@@ -259,12 +250,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Arm chaos injection: fault `rate` (0 disables) drawn from the
-    /// deterministic stream of `seed`.
-    pub fn with_faults(mut self, seed: u64, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0, 1]");
-        self.fault_seed = seed;
-        self.fault_rate = rate;
+    /// Arm chaos injection from `spec` (see the field docs);
+    /// [`FaultSpec::with_forced`] pins one specific fault class
+    /// deterministically instead of sweeping a rate.
+    pub fn with_faults(mut self, spec: FaultSpec) -> Self {
+        self.faults = spec;
         self
     }
 
@@ -280,23 +270,18 @@ impl RuntimeConfig {
         self
     }
 
-    /// Arm a hand-built fault plan (see the field docs).
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Arm a planned whole-node kill: slave `node` dies at `at` of
     /// virtual time. Also arms the heartbeat/lease machinery.
     pub fn with_node_loss(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can be killed");
         self.node_loss = Some((node, at));
         self
     }
 
-    /// Set the lease protocol timing (probe period, death window).
+    /// Set the lease protocol timing (probe period, death window). The
+    /// window must exceed the period; [`crate::Runtime::try_run`]
+    /// validates this and the node targets of every planned membership
+    /// event as [`RunError::InvalidConfig`].
     pub fn with_heartbeat(mut self, period: SimDuration, window: SimDuration) -> Self {
-        assert!(window > period, "the lease window must exceed the probe period");
         self.heartbeat_period = period;
         self.lease_window = window;
         self
@@ -311,7 +296,6 @@ impl RuntimeConfig {
     /// Plan a node join: slave `node` starts the run absent and comes
     /// up at `at` of virtual time.
     pub fn with_node_join(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can join");
         self.node_join = Some((node, at));
         self
     }
@@ -319,7 +303,6 @@ impl RuntimeConfig {
     /// Plan a graceful drain: slave `node` starts leaving at `at` of
     /// virtual time.
     pub fn with_node_drain(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can drain");
         self.node_drain = Some((node, at));
         self
     }
@@ -344,7 +327,7 @@ impl RuntimeConfig {
 
     /// Are faults (and therefore the recovery machinery) enabled?
     pub fn faults_enabled(&self) -> bool {
-        self.fault_plan.is_some() || self.fault_rate > 0.0 || self.node_loss.is_some()
+        self.faults.can_fire() || self.node_loss.is_some()
     }
 
     /// Usable GPU cache capacity.
@@ -408,14 +391,8 @@ pub const ENV_OVERRIDES: [(&str, EnvSetter); 20] = [
     // 0 keeps the legacy FIFO tie-break.
     ("OMPSS_SCHED_SEED", |c, v| num(v).map(|n| c.sched_seed = n)),
     // 0 (the default) runs fault-free.
-    ("OMPSS_FAULT_RATE", |c, v| match num::<f64>(v)? {
-        rate if (0.0..=1.0).contains(&rate) => {
-            c.fault_rate = rate;
-            Ok(())
-        }
-        rate => Err(format!("{rate} is not in [0, 1]")),
-    }),
-    ("OMPSS_FAULT_SEED", |c, v| num(v).map(|n| c.fault_seed = n)),
+    ("OMPSS_FAULT_RATE", |c, v| num(v).map(|rate| c.faults = FaultSpec::new(c.faults.seed, rate))),
+    ("OMPSS_FAULT_SEED", |c, v| num(v).map(|n| c.faults.seed = n)),
     ("OMPSS_TASK_RETRIES", |c, v| num(v).map(|n| c.task_retry_budget = n)),
     ("OMPSS_AM_RETRIES", |c, v| num(v).map(|n| c.am_retry_budget = n)),
     ("OMPSS_FAULT_NODE_LOSS", |c, v| node_at(v).map(|p| c.node_loss = Some(p))),

@@ -65,7 +65,7 @@ pub use ompss_cudasim::{GpuSpec, KernelCost};
 pub use ompss_mem::{Backing, Region};
 pub use ompss_sched::Policy;
 pub use ompss_sim::{
-    Backoff, DeviceFuse, FaultClass, FaultPlan, FaultStats, ProcState, RunError, SimDuration,
+    Backoff, DeviceFuse, FaultClass, FaultSpec, FaultStats, ProcState, RunError, SimDuration,
     SimTime,
 };
 

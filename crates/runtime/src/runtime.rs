@@ -562,11 +562,11 @@ impl Runtime {
 
         // ---- configuration validation ---------------------------------
         // A self-contradictory config is rejected before any machine is
-        // built — a structured error, not a mid-run surprise. The
-        // builder asserts the same invariants, but the env-var path
-        // (`OMPSS_HEARTBEAT_*`, `OMPSS_FAULT_NODE_LOSS`,
-        // `OMPSS_NODE_JOIN`/`OMPSS_NODE_DRAIN`) reaches here unchecked.
-        // Node 0 is never a target: its processes never stop.
+        // built — a structured error, not a mid-run surprise. Builders
+        // and direct field writes reach here unchecked, as does every
+        // env value that parses. Node 0 is never a target: its
+        // processes never stop.
+        cfg.faults.check().map_err(|what| RunError::InvalidConfig { what })?;
         if cfg.heartbeat_period >= cfg.lease_window {
             return Err(RunError::InvalidConfig {
                 what: format!(
@@ -597,16 +597,9 @@ impl Runtime {
         }
 
         // ---- chaos arming ---------------------------------------------
-        let faults: Option<Arc<FaultPlan>> = match &cfg.fault_plan {
-            Some(plan) => Some(plan.clone()),
-            None if cfg.fault_rate > 0.0 || cfg.node_loss.is_some() => {
-                Some(Arc::new(FaultPlan::new(cfg.fault_seed, cfg.fault_rate)))
-            }
-            None => None,
-        };
-        if let (Some(plan), Some((node, at))) = (&faults, cfg.node_loss) {
-            plan.arm_node_loss(node, at.as_nanos());
-        }
+        // Every run draws from a fresh plan, so a config replays its
+        // faults exactly however often it runs.
+        let faults = cfg.faults_enabled().then(|| Arc::new(FaultPlan::new(cfg.faults)));
         // Rate-based recovery assumes a failed or lost device never
         // holds the only up-to-date copy of anything, so that chaos pins
         // write-back caching down to write-through (commit leaves device
@@ -614,9 +607,7 @@ impl Runtime {
         // reconstruction exists precisely to rebuild dirty data the dead
         // node took with it.
         let mut cfg = cfg;
-        if (cfg.fault_plan.is_some() || cfg.fault_rate > 0.0)
-            && cfg.cache_policy == CachePolicy::WriteBack
-        {
+        if cfg.faults.can_fire() && cfg.cache_policy == CachePolicy::WriteBack {
             cfg.cache_policy = CachePolicy::WriteThrough;
         }
         let cfg = cfg;
@@ -900,9 +891,7 @@ impl Runtime {
         // alone.
         let run = match sim.run() {
             Ok(run) => run,
-            Err(e) if faults.is_some() => {
-                return Err(e.with_fault_context(cfg.fault_seed, cfg.fault_rate))
-            }
+            Err(e) if faults.is_some() => return Err(e.with_fault_context(&cfg.faults)),
             Err(e) => return Err(e),
         };
         if let Some(plan) = &faults {

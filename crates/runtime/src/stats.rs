@@ -72,26 +72,6 @@ pub struct Counters {
     pub bytes_reconstructed: AtomicU64,
     /// Heartbeat probe periods that elapsed without a lease renewal.
     pub heartbeats_missed: AtomicU64,
-    /// Jobs the serve daemon admitted to its queue.
-    pub serve_admitted: AtomicU64,
-    /// Jobs the serve daemon rejected at admission (queue full, bad
-    /// spec, draining).
-    pub serve_rejected: AtomicU64,
-    /// Queued jobs the serve daemon load-shed to admit higher-priority
-    /// work.
-    pub serve_shed: AtomicU64,
-    /// Jobs cancelled by a client before completing.
-    pub serve_cancelled: AtomicU64,
-    /// Jobs that hit their deadline while queued or running.
-    pub serve_deadlines: AtomicU64,
-    /// Job re-runs after a retryable [`RunError`](crate::RunError).
-    pub serve_retries: AtomicU64,
-    /// Jobs that finished with a result.
-    pub serve_completed: AtomicU64,
-    /// Jobs that finished with a terminal error.
-    pub serve_failed: AtomicU64,
-    /// High-water mark of the serve daemon's admission queue.
-    pub serve_queue_peak: AtomicU64,
     /// Allocations routed through the `ShardMap` to a shard-owner home
     /// (sharded control plane only).
     pub shard_lookups: AtomicU64,
@@ -126,11 +106,6 @@ impl Counters {
         counter.fetch_add(n, Relaxed);
     }
 
-    /// Raise a high-water-mark counter to at least `n`.
-    pub fn raise(counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Relaxed);
-    }
-
     /// Charge one executed task body of length `busy` to a resource.
     pub fn record_busy(&self, node: u32, name: &str, busy: SimDuration) {
         let mut map = self.busy.lock();
@@ -163,15 +138,6 @@ impl Counters {
             tasks_relineaged: self.tasks_relineaged.load(Relaxed),
             bytes_reconstructed: self.bytes_reconstructed.load(Relaxed),
             heartbeats_missed: self.heartbeats_missed.load(Relaxed),
-            serve_admitted: self.serve_admitted.load(Relaxed),
-            serve_rejected: self.serve_rejected.load(Relaxed),
-            serve_shed: self.serve_shed.load(Relaxed),
-            serve_cancelled: self.serve_cancelled.load(Relaxed),
-            serve_deadlines: self.serve_deadlines.load(Relaxed),
-            serve_retries: self.serve_retries.load(Relaxed),
-            serve_completed: self.serve_completed.load(Relaxed),
-            serve_failed: self.serve_failed.load(Relaxed),
-            serve_queue_peak: self.serve_queue_peak.load(Relaxed),
             shard_lookups: self.shard_lookups.load(Relaxed),
             peer_resolutions: self.peer_resolutions.load(Relaxed),
             submaster_spawns: self.submaster_spawns.load(Relaxed),
@@ -219,24 +185,6 @@ pub struct CounterSnapshot {
     pub bytes_reconstructed: u64,
     /// Heartbeat probe periods elapsed without a lease renewal.
     pub heartbeats_missed: u64,
-    /// Jobs the serve daemon admitted.
-    pub serve_admitted: u64,
-    /// Jobs rejected at admission.
-    pub serve_rejected: u64,
-    /// Queued jobs load-shed for higher-priority work.
-    pub serve_shed: u64,
-    /// Jobs cancelled by a client.
-    pub serve_cancelled: u64,
-    /// Jobs that hit their deadline.
-    pub serve_deadlines: u64,
-    /// Job re-runs after a retryable error.
-    pub serve_retries: u64,
-    /// Jobs finished with a result.
-    pub serve_completed: u64,
-    /// Jobs finished with a terminal error.
-    pub serve_failed: u64,
-    /// High-water mark of the admission queue.
-    pub serve_queue_peak: u64,
     /// Allocations routed by the `ShardMap` (sharded plane only).
     pub shard_lookups: u64,
     /// Peer-to-peer transfer-source resolutions (sharded plane only).
@@ -281,15 +229,6 @@ impl ToJson for CounterSnapshot {
                     .field("busy_ns", b.busy_ns),
             );
         }
-        let serve_total = self.serve_admitted
-            + self.serve_rejected
-            + self.serve_shed
-            + self.serve_cancelled
-            + self.serve_deadlines
-            + self.serve_retries
-            + self.serve_completed
-            + self.serve_failed
-            + self.serve_queue_peak;
         let mut j = Json::object()
             .field(
                 "bytes",
@@ -319,24 +258,6 @@ impl ToJson for CounterSnapshot {
                     .field("bytes_reconstructed", self.bytes_reconstructed)
                     .field("heartbeats_missed", self.heartbeats_missed),
             );
-        // Daemon-level counters: only a running `ompss-serve` touches
-        // them, so per-run reports (where they are all zero) keep their
-        // historical byte-exact shape.
-        if serve_total > 0 {
-            j = j.field(
-                "serve",
-                Json::object()
-                    .field("admitted", self.serve_admitted)
-                    .field("rejected", self.serve_rejected)
-                    .field("shed", self.serve_shed)
-                    .field("cancelled", self.serve_cancelled)
-                    .field("deadlines", self.serve_deadlines)
-                    .field("retries", self.serve_retries)
-                    .field("completed", self.serve_completed)
-                    .field("failed", self.serve_failed)
-                    .field("queue_peak", self.serve_queue_peak),
-            );
-        }
         // Sharded-control-plane counters: only nonzero when
         // `OMPSS_SHARDS` armed the sharded plane, so flat runs keep
         // their historical byte-exact report shape.
@@ -404,23 +325,6 @@ mod tests {
         let u = c.snapshot().utilisation(100);
         assert_eq!(u.len(), 1);
         assert!((u[0].4 - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serve_section_only_appears_when_the_daemon_counted() {
-        let quiet = Counters::new().snapshot().to_json();
-        assert_eq!(quiet.get("serve"), None, "per-run reports must not grow a serve section");
-        let c = Counters::new();
-        Counters::add(&c.serve_admitted, 5);
-        Counters::add(&c.serve_shed, 1);
-        Counters::raise(&c.serve_queue_peak, 4);
-        Counters::raise(&c.serve_queue_peak, 2); // high-water mark keeps the max
-        let j = c.snapshot().to_json();
-        let s = j.get("serve").expect("daemon counters must surface a serve section");
-        assert_eq!(s.get("admitted"), Some(&Json::U64(5)));
-        assert_eq!(s.get("shed"), Some(&Json::U64(1)));
-        assert_eq!(s.get("queue_peak"), Some(&Json::U64(4)));
-        assert_eq!(s.get("rejected"), Some(&Json::U64(0)));
     }
 
     #[test]

@@ -56,11 +56,8 @@ fn assert_scaled_4x(arrays: &[Vec<f32>], ctx: &str) {
 fn heartbeat_period_must_undercut_lease_window() {
     // Rejected side: a period equal to the window means a node could
     // never renew between probes — a structured error, not a crash.
-    // The builder asserts the same invariant, so (like the env path)
-    // the bad value is planted directly on the fields.
-    let mut bad = RuntimeConfig::gpu_cluster(2);
-    bad.heartbeat_period = SimDuration::from_micros(500);
-    bad.lease_window = SimDuration::from_micros(500);
+    let bad = RuntimeConfig::gpu_cluster(2)
+        .with_heartbeat(SimDuration::from_micros(500), SimDuration::from_micros(500));
     match Runtime::try_run(bad, |omp| async move {
         omp.taskwait().await;
     }) {
@@ -70,9 +67,8 @@ fn heartbeat_period_must_undercut_lease_window() {
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
     // Accepted side: one nanosecond under the window is valid.
-    let mut good = RuntimeConfig::gpu_cluster(2);
-    good.heartbeat_period = SimDuration::from_nanos(499_999);
-    good.lease_window = SimDuration::from_micros(500);
+    let good = RuntimeConfig::gpu_cluster(2)
+        .with_heartbeat(SimDuration::from_nanos(499_999), SimDuration::from_micros(500));
     Runtime::try_run(good, |omp| async move {
         omp.taskwait().await;
     })
@@ -81,10 +77,9 @@ fn heartbeat_period_must_undercut_lease_window() {
 
 #[test]
 fn membership_targets_outside_the_cluster_are_rejected() {
-    // The builder asserts node > 0; the out-of-range side reaches
-    // try_run unchecked (as the env path would) and must fail closed.
-    let mut cfg = RuntimeConfig::gpu_cluster(2);
-    cfg.node_join = Some((5, SimDuration::from_micros(10)));
+    // Builders check nothing: a target past the cluster or on the
+    // master reaches try_run, which must fail closed.
+    let cfg = RuntimeConfig::gpu_cluster(2).with_node_join(5, SimDuration::from_micros(10));
     match Runtime::try_run(cfg, |omp| async move {
         omp.taskwait().await;
     }) {
@@ -93,8 +88,7 @@ fn membership_targets_outside_the_cluster_are_rejected() {
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
-    let mut cfg = RuntimeConfig::gpu_cluster(2);
-    cfg.node_drain = Some((0, SimDuration::from_micros(10)));
+    let cfg = RuntimeConfig::gpu_cluster(2).with_node_drain(0, SimDuration::from_micros(10));
     assert!(matches!(
         Runtime::try_run(cfg, |omp| async move {
             omp.taskwait().await;
@@ -102,8 +96,7 @@ fn membership_targets_outside_the_cluster_are_rejected() {
         Err(RunError::InvalidConfig { .. })
     ));
     // Node 0 runs the program, so it is no planned-kill target either.
-    let mut cfg = RuntimeConfig::gpu_cluster(2);
-    cfg.node_loss = Some((0, SimDuration::from_micros(10)));
+    let cfg = RuntimeConfig::gpu_cluster(2).with_node_loss(0, SimDuration::from_micros(10));
     match Runtime::try_run(cfg, |omp| async move {
         omp.taskwait().await;
     }) {

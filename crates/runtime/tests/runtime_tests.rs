@@ -5,8 +5,8 @@
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    CachePolicy, KernelCost, Policy, RunError, Runtime, RuntimeConfig, SimDuration, SlaveRouting,
-    TaskSpec, ENV_OVERRIDES,
+    CachePolicy, FaultClass, FaultSpec, KernelCost, Policy, RunError, Runtime, RuntimeConfig,
+    SimDuration, SlaveRouting, TaskSpec, ENV_OVERRIDES,
 };
 
 /// A blocked "scale by 2" over a float array on the chosen device.
@@ -534,8 +534,7 @@ fn env_overrides_parse() {
     assert!(cfg.tracing);
     assert!(cfg.verify);
     assert_eq!(cfg.sched_seed, 17);
-    assert_eq!(cfg.fault_rate, 0.25);
-    assert_eq!(cfg.fault_seed, 42);
+    assert_eq!(cfg.faults, FaultSpec::new(42, 0.25));
     assert_eq!(cfg.task_retry_budget, 5);
     assert_eq!(cfg.am_retry_budget, 11);
     assert_eq!(cfg.node_loss, Some((1, SimDuration::from_micros(800))));
@@ -552,6 +551,25 @@ fn env_overrides_parse() {
         match env_config(&[bad]) {
             Err(RunError::InvalidConfig { what }) => assert!(what.starts_with(bad.0), "{what}"),
             other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    // An out-of-range fault rate is a valid number, so it parses; the
+    // builder, the env table and a direct field write all meet the one
+    // range check in `try_run`, with the same message.
+    let mut written = RuntimeConfig::gpu_cluster(2);
+    written.faults.rates[FaultClass::NetDrop as usize] = 1.5;
+    let paths = [
+        RuntimeConfig::gpu_cluster(2).with_faults(FaultSpec::new(1, 1.5)),
+        env_config(&[("OMPSS_FAULT_RATE", "1.5")]).expect("1.5 is a number"),
+        written,
+    ];
+    for cfg in paths {
+        match Runtime::try_run(cfg, |omp| async move { omp.taskwait().await }) {
+            Err(RunError::InvalidConfig { what }) => {
+                assert_eq!(what, "fault rate net_drop=1.5 is not in [0, 1]")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 }

@@ -4,8 +4,8 @@
 //! `chaos`, `mc` and `sweep` each parse flags, run a fixed job list and
 //! exit. This crate turns the same deterministic simulator into a
 //! *daemon*: a persistent process that accepts job specifications over
-//! a line protocol (stdin or a Unix socket), executes them on a bounded
-//! worker pool, and streams progress and results back as JSON lines —
+//! a line protocol (stdin or a Unix socket), executes them on a fixed
+//! set of worker threads, and streams progress and results back as JSON lines —
 //! while staying well-behaved under overload.
 //!
 //! The three layers:
@@ -17,10 +17,13 @@
 //!   aging (no starvation), load-shedding of the weakest entry when a
 //!   strictly stronger job arrives at a full queue, explicit rejection
 //!   otherwise. Overload becomes structured errors, never memory growth.
-//! * [`server`] — execution and routing: a fixed worker pool, per-job
+//! * [`server`] — execution and routing: fixed worker threads, per-job
 //!   cancellation tokens, host-time deadlines, deterministic
 //!   exponential backoff between retries of retryable failures, and an
 //!   exactly-once terminal event per job enforced structurally.
+//!
+//! What the daemon did across jobs is counted in [`counters`] and
+//! reported by the protocol's `stats` op.
 //!
 //! Everything observable is deterministic where it can be: a job's
 //! `RunReport` is byte-identical to a direct
@@ -30,10 +33,12 @@
 //! arrival interleaving — which is the client's, not the server's — is
 //! host-time dependent.
 
+pub mod counters;
 pub mod queue;
 pub mod server;
 pub mod spec;
 
+pub use counters::{Count, ServeCounters};
 pub use queue::{Admit, AdmitQueue, QueuedJob, AGING_POPS};
 pub use server::{
     serve_connection, sim_runner, Event, EventKind, RunOutcome, Runner, ServeConfig, Server, Sink,

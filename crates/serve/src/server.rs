@@ -1,14 +1,15 @@
 //! The job server: admission, scheduling, execution, response routing.
 //!
-//! A [`Server`] owns the bounded [`AdmitQueue`] and a fixed
-//! [`WorkerPool`]; clients hand it validated [`JobSpec`]s with a
+//! A [`Server`] owns the bounded [`AdmitQueue`] and a fixed set of
+//! worker threads; clients hand it validated [`JobSpec`]s with a
 //! [`Sink`] to receive that job's [`Event`] stream. The contract every
 //! harness (and the soak stage) leans on:
 //!
 //! * **Exactly one terminal event per job.** `result`, `rejected`,
 //!   `cancelled`, `deadline_exceeded` or `failed` — never zero, never
 //!   two. The guard is structural: terminal emission removes the job's
-//!   routing entry, and every path goes through that removal.
+//!   routing entry, and every path goes through that removal — a
+//!   panicking runner included, which ends its job `failed`.
 //! * **Admission is the only buffer.** A full queue rejects (or sheds
 //!   the weakest queued job for a strictly stronger newcomer); memory
 //!   is bounded by `queue_cap` plus one in-flight job per worker.
@@ -23,16 +24,18 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering, Ordering::Relaxed};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use ompss_json::{Json, ToJson};
-use ompss_runtime::{Backoff, Counters, RunError, SimDuration};
-use ompss_sweep::{CancelToken, WorkerPool};
+use ompss_runtime::{Backoff, RunError, SimDuration};
 
+use crate::counters::{Count, ServeCounters};
 use crate::queue::{Admit, AdmitQueue, QueuedJob};
 use crate::spec::JobSpec;
 
@@ -209,6 +212,34 @@ pub fn sim_runner() -> Runner {
     })
 }
 
+/// A cloneable cooperative-cancellation flag: all clones observe the
+/// same state, and [`cancel`](CancelToken::cancel) never un-sets. A
+/// worker checks it at attempt boundaries — a simulation run is never
+/// interrupted mid-flight.
+#[derive(Debug, Clone, Default)]
+struct CancelToken(Arc<AtomicBool>);
+
+impl CancelToken {
+    /// Flip the token; every clone sees it. Idempotent.
+    fn cancel(&self) {
+        self.0.store(true, Ordering::Release);
+    }
+
+    /// Whether any clone of this token was cancelled.
+    fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+/// The `Display` line of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s,
+        _ => "non-string panic payload",
+    }
+}
+
 /// Routing entry for one live job; removing it *is* the exactly-once
 /// terminal guard.
 struct JobState {
@@ -220,7 +251,7 @@ struct Shared {
     cfg: ServeConfig,
     queue: Mutex<AdmitQueue>,
     ready: Condvar,
-    counters: Arc<Counters>,
+    counters: Arc<ServeCounters>,
     next_id: AtomicU64,
     jobs: Mutex<HashMap<u64, JobState>>,
     draining: AtomicBool,
@@ -269,19 +300,23 @@ impl Shared {
         let mut attempt = 0u32;
         loop {
             if token.is_cancelled() {
-                Counters::add(&self.counters.serve_cancelled, 1);
+                self.counters.bump(Count::Cancelled);
                 self.emit_terminal(id, &tag, EventKind::Cancelled);
                 return;
             }
             if Shared::expired(&job) {
-                Counters::add(&self.counters.serve_deadlines, 1);
+                self.counters.bump(Count::Deadlines);
                 self.emit_terminal(id, &tag, EventKind::DeadlineExceeded);
                 return;
             }
             self.emit(id, &tag, EventKind::Started { attempt, waited_pops: job.waited_pops });
-            match (self.runner)(&job.spec, attempt) {
+            let outcome = catch_unwind(AssertUnwindSafe(|| (self.runner)(&job.spec, attempt)))
+                .unwrap_or_else(|panic| {
+                    Err(RunError::ProcessPanic("runner".into(), panic_message(&*panic).into()))
+                });
+            match outcome {
                 Ok(out) => {
-                    Counters::add(&self.counters.serve_completed, 1);
+                    self.counters.bump(Count::Completed);
                     self.emit_terminal(
                         id,
                         &tag,
@@ -295,7 +330,7 @@ impl Shared {
                     return;
                 }
                 Err(e) if e.is_retryable() && attempt < retries => {
-                    Counters::add(&self.counters.serve_retries, 1);
+                    self.counters.bump(Count::Retries);
                     self.emit(id, &tag, EventKind::Retrying { attempt, error: e.to_string() });
                     if let Some(wait) = backoff.next() {
                         std::thread::sleep(Duration::from_nanos(wait.as_nanos()));
@@ -303,7 +338,7 @@ impl Shared {
                     attempt += 1;
                 }
                 Err(e) => {
-                    Counters::add(&self.counters.serve_failed, 1);
+                    self.counters.bump(Count::Failed);
                     self.emit_terminal(
                         id,
                         &tag,
@@ -342,7 +377,7 @@ impl Shared {
 /// with reason `"draining"`, in-flight jobs finish, workers join.
 pub struct Server {
     shared: Arc<Shared>,
-    pool: Option<WorkerPool>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -358,23 +393,27 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(AdmitQueue::new(cfg.queue_cap)),
             ready: Condvar::new(),
-            counters: Arc::new(Counters::new()),
+            counters: Arc::default(),
             next_id: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             runner,
             cfg,
         });
-        let pool = WorkerPool::new("serve", shared.cfg.workers);
-        for _ in 0..pool.threads() {
-            let shared = shared.clone();
-            pool.submit(move || shared.worker_loop());
-        }
-        Server { shared, pool: Some(pool) }
+        let workers = (0..shared.cfg.workers.max(1))
+            .map(|i| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("serve-{i}"))
+                    .spawn(move || shared.worker_loop())
+                    .expect("spawn serve worker")
+            })
+            .collect();
+        Server { shared, workers }
     }
 
     /// The counter registry (shared with the protocol `stats` op).
-    pub fn counters(&self) -> Arc<Counters> {
+    pub fn counters(&self) -> Arc<ServeCounters> {
         self.shared.counters.clone()
     }
 
@@ -385,9 +424,9 @@ impl Server {
         let shared = &self.shared;
         let id = shared.next_id.fetch_add(1, Relaxed) + 1;
         let tag = spec.tag.clone();
-        shared.jobs.lock().insert(id, JobState { sink, token: CancelToken::new() });
+        shared.jobs.lock().insert(id, JobState { sink, token: CancelToken::default() });
         if shared.draining.load(Relaxed) {
-            Counters::add(&shared.counters.serve_rejected, 1);
+            shared.counters.bump(Count::Rejected);
             shared.emit_terminal(id, &tag, EventKind::Rejected { reason: "draining" });
             return id;
         }
@@ -403,10 +442,10 @@ impl Server {
         };
         match admitted_depth {
             Some(depth) => {
-                Counters::add(&shared.counters.serve_admitted, 1);
-                Counters::raise(&shared.counters.serve_queue_peak, depth);
+                shared.counters.bump(Count::Admitted);
+                shared.counters.raise(Count::QueuePeak, depth);
                 if let Some(victim) = victim {
-                    Counters::add(&shared.counters.serve_shed, 1);
+                    shared.counters.bump(Count::Shed);
                     shared.emit_terminal(
                         victim.id,
                         &victim.spec.tag,
@@ -419,7 +458,7 @@ impl Server {
                 shared.ready.notify_one();
             }
             None => {
-                Counters::add(&shared.counters.serve_rejected, 1);
+                shared.counters.bump(Count::Rejected);
                 shared.emit_terminal(id, &tag, EventKind::Rejected { reason: "queue_full" });
             }
         }
@@ -439,7 +478,7 @@ impl Server {
         token.cancel();
         let removed = shared.queue.lock().remove(id);
         if let Some(job) = removed {
-            Counters::add(&shared.counters.serve_cancelled, 1);
+            shared.counters.bump(Count::Cancelled);
             shared.emit_terminal(id, &job.spec.tag, EventKind::Cancelled);
         }
         true
@@ -456,7 +495,7 @@ impl Server {
             .field("queue_depth", depth)
             .field("queue_cap", cap)
             .field("queue_peak", peak)
-            .field("counters", self.shared.counters.snapshot().to_json())
+            .field("counters", self.shared.counters.to_json())
     }
 
     /// Block until every submitted job has received its terminal event
@@ -480,19 +519,21 @@ impl Server {
         shared.draining.store(true, Relaxed);
         let queued = shared.queue.lock().drain_all();
         for job in queued {
-            Counters::add(&shared.counters.serve_rejected, 1);
+            shared.counters.bump(Count::Rejected);
             shared.emit_terminal(job.id, &job.spec.tag, EventKind::Rejected { reason: "draining" });
         }
         shared.ready.notify_all();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
+        for worker in self.workers.drain(..) {
+            // A worker only dies by a panic outside the runner (a sink
+            // or the server itself); its jobs are already accounted for.
+            let _ = worker.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.pool.is_some() {
+        if !self.workers.is_empty() {
             self.drain();
         }
     }
@@ -764,11 +805,11 @@ mod tests {
                 other => panic!("job {id}: expected result, got {other:?}"),
             }
         }
-        let snap = server.counters().snapshot();
-        assert_eq!(snap.serve_rejected, 1);
-        assert_eq!(snap.serve_shed, 1);
-        assert_eq!(snap.serve_admitted, 4, "running + q1 + q2 + vip were admitted");
-        assert_eq!(snap.serve_queue_peak, 2);
+        let c = server.counters();
+        assert_eq!(c.get(Count::Rejected), 1);
+        assert_eq!(c.get(Count::Shed), 1);
+        assert_eq!(c.get(Count::Admitted), 4, "running + q1 + q2 + vip were admitted");
+        assert_eq!(c.get(Count::QueuePeak), 2);
         server.shutdown();
     }
 
@@ -820,8 +861,53 @@ mod tests {
             EventKind::Result { .. } => {}
             other => panic!("expected result, got {other:?}"),
         }
-        assert_eq!(server.counters().snapshot().serve_deadlines, 1);
+        assert_eq!(server.counters().get(Count::Deadlines), 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_runner_fails_its_job_and_the_worker_serves_on() {
+        // One worker: if the panic killed it, the second job would never
+        // start and `quiesce` would spin forever — run it on a helper
+        // thread and bound the wait instead.
+        let runner: Runner = Arc::new(|spec: &JobSpec, _| match spec.tag.as_deref() {
+            Some("boom") => panic!("runner blew up"),
+            _ => Ok(ok_outcome()),
+        });
+        let server = Arc::new(Server::with_runner(cfg(1, 4), runner));
+        let log = Arc::new(Log::default());
+        let doomed = server.submit(spec(r#"{"app":"stream","tag":"boom"}"#), log.sink());
+        let after = server.submit(spec(r#"{"app":"stream","tag":"ok"}"#), log.sink());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let s2 = server.clone();
+        let waiter = std::thread::spawn(move || {
+            s2.quiesce();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("quiesce hung: a job got no terminal");
+        waiter.join().expect("quiesce waiter");
+        match log.wait_terminal(doomed).kind {
+            EventKind::Failed { attempts: 1, error } => {
+                assert!(error.contains("runner blew up"), "{error}")
+            }
+            other => panic!("expected failed, got {other:?}"),
+        }
+        match log.wait_terminal(after).kind {
+            EventKind::Result { .. } => {}
+            other => panic!("the worker must survive the panic, got {other:?}"),
+        }
+        assert_eq!(server.counters().get(Count::Failed), 1);
+    }
+
+    #[test]
+    fn cancel_token_is_shared_across_clones() {
+        let t = CancelToken::default();
+        let c = t.clone();
+        assert!(!c.is_cancelled());
+        t.cancel();
+        assert!(c.is_cancelled());
+        t.cancel(); // idempotent
+        assert!(t.is_cancelled());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 
 use ompss_apps::scenario::{App, Topology};
 use ompss_json::Json;
-use ompss_runtime::RuntimeConfig;
+use ompss_runtime::{FaultSpec, RuntimeConfig};
 
 /// Highest admissible base priority (priorities run 0..=9; higher runs
 /// first).
@@ -172,10 +172,8 @@ impl JobSpec {
         if let Some(seed) = self.sched_seed {
             cfg = cfg.with_sched_seed(seed);
         }
-        if self.fault_rate > 0.0 {
-            cfg = cfg.with_faults(self.fault_seed.wrapping_add(attempt as u64), self.fault_rate);
-        }
-        cfg
+        let seed = self.fault_seed.wrapping_add(attempt as u64);
+        cfg.with_faults(FaultSpec::new(seed, self.fault_rate))
     }
 
     /// The spec as JSON (echoed in admission responses and used by the
@@ -252,8 +250,8 @@ mod tests {
     #[test]
     fn retry_attempts_explore_distinct_fault_seeds() {
         let s = JobSpec::parse(r#"{"app":"stream","fault_seed":10,"fault_rate":0.1}"#).unwrap();
-        assert_eq!(s.config(0).fault_seed, 10);
-        assert_eq!(s.config(2).fault_seed, 12);
+        assert_eq!(s.config(0).faults, FaultSpec::new(10, 0.1));
+        assert_eq!(s.config(2).faults, FaultSpec::new(12, 0.1));
         assert!(s.config(0).faults_enabled());
         // Fault-free specs never arm the plan, whatever the attempt.
         let quiet = JobSpec::parse(r#"{"app":"stream"}"#).unwrap();

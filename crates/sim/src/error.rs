@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::fault::FaultSpec;
+
 /// Errors returned by blocking simulation calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -142,19 +144,17 @@ impl RunError {
         }
     }
 
-    /// Tag this error with the fault plan that produced the run, so any
+    /// Tag this error with the fault spec that produced the run, so any
     /// chaos failure is reproducible from its message alone. The tag is
     /// appended to the variant's existing string payload (the `what`,
     /// panic message, queue name, or the stuck-process list) — the enum
     /// shape is unchanged, so callers matching on variants still work.
-    pub fn with_fault_context(mut self, seed: u64, rate: f64) -> RunError {
-        let tag = format!(" [fault_seed={seed} fault_rate={rate}]");
+    pub fn with_fault_context(mut self, spec: &FaultSpec) -> RunError {
+        let tag = format!(" [{spec}]");
         match &mut self {
-            RunError::Deadlock { blocked } => blocked.push(ProcState {
-                pid: usize::MAX,
-                name: format!("(fault_seed={seed} fault_rate={rate})"),
-                phase: "tag",
-            }),
+            RunError::Deadlock { blocked } => {
+                blocked.push(ProcState { pid: usize::MAX, name: format!("({spec})"), phase: "tag" })
+            }
             RunError::ProcessPanic(_, msg) => msg.push_str(&tag),
             RunError::Exhausted { what, .. } => what.push_str(&tag),
             RunError::QueueOverflow { queue, .. } => queue.push_str(&tag),
@@ -210,7 +210,7 @@ mod tests {
             RunError::InvalidConfig { what: "period >= window".into() },
         ];
         for e in errs {
-            let tagged = e.with_fault_context(42, 0.05);
+            let tagged = e.with_fault_context(&FaultSpec::new(42, 0.05));
             let shown = tagged.to_string();
             assert!(shown.contains("fault_seed=42"), "missing seed in: {shown}");
             assert!(shown.contains("fault_rate=0.05"), "missing rate in: {shown}");
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn fault_context_preserves_variant_shape() {
         let e = RunError::Exhausted { what: "task t".into(), attempts: 2 };
-        match e.with_fault_context(1, 0.1) {
+        match e.with_fault_context(&FaultSpec::new(1, 0.1)) {
             RunError::Exhausted { attempts: 2, .. } => {}
             other => panic!("variant changed: {other:?}"),
         }

@@ -1,12 +1,16 @@
-//! Deterministic fault injection: the `ompss-chaos` fault plan.
+//! Deterministic fault injection: the `ompss-chaos` fault spec and plan.
 //!
-//! A [`FaultPlan`] is a seeded oracle the device layers (fabric, GPU
-//! engines, SMP workers) consult at well-defined injection points. Each
-//! decision is a pure function of `(seed, fault class, per-class draw
-//! counter)` — no wall clock, no OS randomness — so a faulted run
-//! replays *exactly*: the DES kernel serialises all processes, which
-//! makes the consultation order itself deterministic, and the fault
-//! stream with it.
+//! A [`FaultSpec`] is the plain-data description of a fault stream —
+//! seed, per-class rates, forced counts — that a run configuration
+//! carries. A [`FaultPlan`] is the per-run oracle built from it: the
+//! device layers (fabric, GPU engines, SMP workers) consult it at
+//! well-defined injection points. Each decision is a pure function of
+//! `(seed, fault class, per-class draw counter)` — no wall clock, no OS
+//! randomness — so a faulted run replays *exactly*: the DES kernel
+//! serialises all processes, which makes the consultation order itself
+//! deterministic, and the fault stream with it. Because every run
+//! builds a fresh plan, the same spec replays the same faults however
+//! often it runs.
 //!
 //! The plan only decides *whether* a fault fires; each layer implements
 //! the fault's mechanics (dropping a message, failing a kernel launch)
@@ -14,6 +18,7 @@
 //! migration). Layers that were handed no plan take the exact legacy
 //! code path — zero cost when chaos is off.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -40,9 +45,9 @@ pub enum FaultClass {
     SimTimeout = 7,
     /// `runtime`: a whole slave node dies — its GPUs, host space,
     /// in-flight messages and queued tasks — at a planned virtual
-    /// instant. Never drawn from the rate stream: node loss is armed
-    /// explicitly via [`with_node_loss`](FaultPlan::with_node_loss) so a
-    /// kill names one exact `(node, instant)`.
+    /// instant. Never drawn from the rate stream: the runtime's
+    /// `node_loss` knob names one exact `(node, instant)` and reports
+    /// the kill through [`FaultPlan::note_injected`].
     NodeLoss = 8,
 }
 
@@ -78,35 +83,38 @@ impl FaultClass {
 
 const N: usize = FAULT_CLASSES.len();
 
-/// A seeded, deterministic fault schedule shared by every injection
-/// point of a run (`Arc`-cloned into the fabric, each GPU device, and
-/// the SMP execution path).
-#[derive(Debug)]
-pub struct FaultPlan {
-    seed: u64,
-    rates: [f64; N],
-    /// First `force[c]` draws of class `c` fire unconditionally —
-    /// targeted unit tests script exact fault sequences with this.
-    force: [AtomicU64; N],
-    /// Draws consulted per class (the deterministic stream position).
-    draws: [AtomicU64; N],
-    /// Faults actually injected per class.
-    injected: [AtomicU64; N],
-    /// Planned whole-node kill: the slave node index, or `u64::MAX` when
-    /// no kill is armed. Node loss never rides the rate stream.
-    node_loss_node: AtomicU64,
-    /// Virtual instant (ns) of the planned kill.
-    node_loss_at_ns: AtomicU64,
+/// What a fault stream may inject: plain data, so a configuration that
+/// carries it stays a pure description of the run.
+///
+/// The default is seed 1 at rate 0, which can never fire.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultSpec {
+    /// Seed of the deterministic stream (`OMPSS_FAULT_SEED`).
+    pub seed: u64,
+    /// The headline rate (`OMPSS_FAULT_RATE`) [`new`](FaultSpec::new)
+    /// derived `rates` from; only the `Display` tag reads it.
+    rate: f64,
+    /// Probability that one draw of class `c` fires, indexed by
+    /// `FaultClass as usize`. Each must be in `[0, 1]`.
+    pub rates: [f64; N],
+    /// The first `forced[c]` draws of class `c` fire unconditionally —
+    /// targeted tests script exact fault sequences with this.
+    pub forced: [u64; N],
 }
 
-impl FaultPlan {
-    /// Derive per-class rates from one headline `rate` (the
-    /// `OMPSS_FAULT_RATE` knob): message-level and kernel-level faults
-    /// fire at the headline rate, duplications/corruptions at half of
-    /// it, device loss and timeouts far more rarely — losing a device
-    /// per message would leave nothing to recover onto.
+impl Default for FaultSpec {
+    fn default() -> Self {
+        FaultSpec::quiet(1)
+    }
+}
+
+impl FaultSpec {
+    /// Derive per-class rates from one headline `rate`: message-level
+    /// and kernel-level faults fire at the headline rate,
+    /// duplications/corruptions at half of it, device loss and timeouts
+    /// far more rarely — losing a device per message would leave
+    /// nothing to recover onto.
     pub fn new(seed: u64, rate: f64) -> Self {
-        let rate = rate.clamp(0.0, 1.0);
         let mut rates = [0.0; N];
         rates[FaultClass::NetDrop as usize] = rate;
         rates[FaultClass::NetDup as usize] = rate / 2.0;
@@ -116,57 +124,84 @@ impl FaultPlan {
         rates[FaultClass::DeviceLoss as usize] = rate / 8.0;
         rates[FaultClass::SimStall as usize] = rate;
         rates[FaultClass::SimTimeout as usize] = rate / 4.0;
-        // NodeLoss stays at rate 0: whole-node kills are armed explicitly
-        // (`with_node_loss`), never drawn — keeping the rate-sweep streams
-        // of the other classes byte-identical to pre-node-loss plans.
+        // NodeLoss stays at rate 0: whole-node kills are planned, never
+        // drawn — keeping the rate-sweep streams of the other classes
+        // byte-identical to pre-node-loss plans.
         rates[FaultClass::NodeLoss as usize] = 0.0;
-        Self {
-            seed,
-            rates,
-            force: zeros(),
-            draws: zeros(),
-            injected: zeros(),
-            node_loss_node: AtomicU64::new(u64::MAX),
-            node_loss_at_ns: AtomicU64::new(0),
-        }
+        FaultSpec { seed, rate, rates, forced: [0; N] }
     }
 
-    /// A plan that never fires on its own — combine with
-    /// [`with_forced`](FaultPlan::with_forced) to script exact faults.
+    /// A spec that never fires on its own — combine with
+    /// [`with_forced`](FaultSpec::with_forced) to script exact faults.
     pub fn quiet(seed: u64) -> Self {
         Self::new(seed, 0.0)
     }
 
     /// Override one class's rate.
     pub fn with_rate(mut self, class: FaultClass, rate: f64) -> Self {
-        self.rates[class as usize] = rate.clamp(0.0, 1.0);
+        self.rates[class as usize] = rate;
         self
     }
 
     /// Force the first `n` draws of `class` to fire.
-    pub fn with_forced(self, class: FaultClass, n: u64) -> Self {
-        self.force[class as usize].store(n, Relaxed);
+    pub fn with_forced(mut self, class: FaultClass, n: u64) -> Self {
+        self.forced[class as usize] = n;
         self
     }
 
-    /// Plan the loss of slave `node` at virtual instant `at_ns`.
-    /// Builder form of [`arm_node_loss`](FaultPlan::arm_node_loss).
-    pub fn with_node_loss(self, node: u32, at_ns: u64) -> Self {
-        self.arm_node_loss(node, at_ns);
-        self
+    /// Can any draw of this spec fire? A spec that cannot arms nothing.
+    pub fn can_fire(&self) -> bool {
+        self.rates.iter().any(|&r| r > 0.0) || self.forced.iter().any(|&n| n > 0)
     }
 
-    /// Plan the loss of slave `node` at virtual instant `at_ns` on an
-    /// already-shared plan.
-    pub fn arm_node_loss(&self, node: u32, at_ns: u64) {
-        self.node_loss_node.store(node as u64, Relaxed);
-        self.node_loss_at_ns.store(at_ns, Relaxed);
+    /// Every class rate must be a probability (NaN is not one).
+    pub fn check(&self) -> Result<(), String> {
+        match FAULT_CLASSES.iter().find(|&&c| !(0.0..=1.0).contains(&self.rates[c as usize])) {
+            Some(&c) => {
+                Err(format!("fault rate {}={} is not in [0, 1]", c.name(), self.rates[c as usize]))
+            }
+            None => Ok(()),
+        }
     }
+}
 
-    /// The planned `(node, instant ns)` kill, if one is armed.
-    pub fn node_loss(&self) -> Option<(u32, u64)> {
-        let node = self.node_loss_node.load(Relaxed);
-        (node != u64::MAX).then(|| (node as u32, self.node_loss_at_ns.load(Relaxed)))
+/// `fault_seed=S fault_rate=R`, then every class rate that differs from
+/// the headline derivation and every forced count — enough to rebuild
+/// the spec from an error message.
+impl fmt::Display for FaultSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "fault_seed={} fault_rate={}", self.seed, self.rate)?;
+        let derived = FaultSpec::new(self.seed, self.rate).rates;
+        for c in FAULT_CLASSES {
+            let (i, name) = (c as usize, c.name());
+            if self.rates[i].to_bits() != derived[i].to_bits() {
+                write!(f, " {name}={}", self.rates[i])?;
+            }
+            if self.forced[i] > 0 {
+                write!(f, " {name}_forced={}", self.forced[i])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The per-run fault oracle: a [`FaultSpec`] plus the run's draw and
+/// injection counters, shared by every injection point of one run
+/// (`Arc`-cloned into the fabric, each GPU device, and the SMP
+/// execution path).
+#[derive(Debug)]
+pub struct FaultPlan {
+    spec: FaultSpec,
+    /// Draws consulted per class (the deterministic stream position).
+    draws: [AtomicU64; N],
+    /// Faults actually injected per class.
+    injected: [AtomicU64; N],
+}
+
+impl FaultPlan {
+    /// A fresh plan at the start of `spec`'s stream.
+    pub fn new(spec: FaultSpec) -> Self {
+        FaultPlan { spec, draws: zeros(), injected: zeros() }
     }
 
     /// Record that a planned (non-drawn) fault of `class` was injected —
@@ -181,12 +216,15 @@ impl FaultPlan {
     pub fn decide(&self, class: FaultClass) -> bool {
         let c = class as usize;
         let i = self.draws[c].fetch_add(1, Relaxed);
-        let fire = if i < self.force[c].load(Relaxed) {
+        let fire = if i < self.spec.forced[c] {
             true
         } else {
             unit(splitmix64(
-                self.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i.wrapping_mul(2) ^ 1,
-            )) < self.rates[c]
+                self.spec.seed
+                    ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    ^ i.wrapping_mul(2)
+                    ^ 1,
+            )) < self.spec.rates[c]
         };
         if fire {
             self.injected[c].fetch_add(1, Relaxed);
@@ -201,13 +239,8 @@ impl FaultPlan {
         let c = class as usize;
         let i = self.draws[c].load(Relaxed);
         unit(splitmix64(
-            self.seed ^ (c as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ i.wrapping_mul(2),
+            self.spec.seed ^ (c as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ i.wrapping_mul(2),
         ))
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Per-class injection counts so far.
@@ -298,10 +331,14 @@ fn unit(x: u64) -> f64 {
 mod tests {
     use super::*;
 
+    fn plan(spec: FaultSpec) -> FaultPlan {
+        FaultPlan::new(spec)
+    }
+
     #[test]
     fn decide_stream_is_deterministic() {
-        let a = FaultPlan::new(42, 0.3);
-        let b = FaultPlan::new(42, 0.3);
+        let a = plan(FaultSpec::new(42, 0.3));
+        let b = plan(FaultSpec::new(42, 0.3));
         let sa: Vec<bool> = (0..256).map(|_| a.decide(FaultClass::NetDrop)).collect();
         let sb: Vec<bool> = (0..256).map(|_| b.decide(FaultClass::NetDrop)).collect();
         assert_eq!(sa, sb);
@@ -311,11 +348,11 @@ mod tests {
 
     #[test]
     fn classes_draw_independent_streams() {
-        let p = FaultPlan::new(7, 0.5);
+        let p = plan(FaultSpec::new(7, 0.5));
         let drops: Vec<bool> = (0..64).map(|_| p.decide(FaultClass::NetDrop)).collect();
         let dups: Vec<bool> = (0..64).map(|_| p.decide(FaultClass::NetDup)).collect();
         assert_ne!(drops, dups);
-        let q = FaultPlan::new(7, 0.5);
+        let q = plan(FaultSpec::new(7, 0.5));
         // Interleaved consultation must not shift either stream.
         let mut drops2 = Vec::new();
         let mut dups2 = Vec::new();
@@ -329,16 +366,16 @@ mod tests {
 
     #[test]
     fn rate_zero_never_fires_rate_one_always_fires() {
-        let p = FaultPlan::new(1, 0.0);
+        let p = plan(FaultSpec::new(1, 0.0));
         assert!((0..128).all(|_| !p.decide(FaultClass::KernelFail)));
-        let p = FaultPlan::new(1, 1.0);
+        let p = plan(FaultSpec::new(1, 1.0));
         assert!((0..128).all(|_| p.decide(FaultClass::KernelFail)));
         assert_eq!(p.stats().count(FaultClass::KernelFail), 128);
     }
 
     #[test]
     fn forced_draws_fire_then_revert_to_rate() {
-        let p = FaultPlan::quiet(9).with_forced(FaultClass::NetDrop, 3);
+        let p = plan(FaultSpec::quiet(9).with_forced(FaultClass::NetDrop, 3));
         let s: Vec<bool> = (0..8).map(|_| p.decide(FaultClass::NetDrop)).collect();
         assert_eq!(s, [true, true, true, false, false, false, false, false]);
         assert_eq!(p.stats().count(FaultClass::NetDrop), 3);
@@ -347,8 +384,8 @@ mod tests {
 
     #[test]
     fn fraction_is_bounded_and_deterministic() {
-        let p = FaultPlan::new(3, 0.5);
-        let q = FaultPlan::new(3, 0.5);
+        let p = plan(FaultSpec::new(3, 0.5));
+        let q = plan(FaultSpec::new(3, 0.5));
         for _ in 0..32 {
             let (fp, fq) = (p.fraction(FaultClass::NetDelay), q.fraction(FaultClass::NetDelay));
             assert_eq!(fp, fq);
@@ -359,17 +396,45 @@ mod tests {
     }
 
     #[test]
-    fn node_loss_is_armed_explicitly_never_drawn() {
-        let p = FaultPlan::new(11, 1.0);
-        assert_eq!(p.node_loss(), None, "rate alone must not plan a kill");
+    fn node_loss_is_noted_never_drawn() {
+        let p = plan(FaultSpec::new(11, 1.0));
         assert!(!p.decide(FaultClass::NodeLoss), "node loss never rides the rate stream");
-        p.arm_node_loss(1, 250_000);
-        assert_eq!(p.node_loss(), Some((1, 250_000)));
         assert_eq!(p.stats().count(FaultClass::NodeLoss), 0);
         p.note_injected(FaultClass::NodeLoss);
         assert_eq!(p.stats().count(FaultClass::NodeLoss), 1);
-        let q = FaultPlan::quiet(11).with_node_loss(0, 7);
-        assert_eq!(q.node_loss(), Some((0, 7)));
+    }
+
+    #[test]
+    fn spec_arms_only_when_it_can_fire() {
+        assert!(!FaultSpec::default().can_fire());
+        assert!(!FaultSpec::new(42, 0.0).can_fire());
+        assert!(FaultSpec::new(42, 0.01).can_fire());
+        assert!(FaultSpec::quiet(3).with_rate(FaultClass::NetDup, 0.5).can_fire());
+        assert!(FaultSpec::quiet(3).with_forced(FaultClass::KernelFail, 1).can_fire());
+    }
+
+    #[test]
+    fn every_class_rate_must_be_a_probability() {
+        assert_eq!(FaultSpec::new(1, 1.0).check(), Ok(()));
+        assert_eq!(
+            FaultSpec::new(1, 1.5).check(),
+            Err("fault rate net_drop=1.5 is not in [0, 1]".into())
+        );
+        let nan = FaultSpec::quiet(1).with_rate(FaultClass::SimStall, f64::NAN);
+        assert_eq!(nan.check(), Err("fault rate sim_stall=NaN is not in [0, 1]".into()));
+        assert!(FaultSpec::quiet(1).with_rate(FaultClass::DeviceLoss, -0.1).check().is_err());
+    }
+
+    #[test]
+    fn display_names_the_whole_spec() {
+        assert_eq!(FaultSpec::new(42, 0.05).to_string(), "fault_seed=42 fault_rate=0.05");
+        let scripted = FaultSpec::quiet(77)
+            .with_rate(FaultClass::NetDrop, 0.25)
+            .with_forced(FaultClass::KernelFail, 2);
+        assert_eq!(
+            scripted.to_string(),
+            "fault_seed=77 fault_rate=0 net_drop=0.25 kernel_fail_forced=2"
+        );
     }
 
     #[test]

@@ -25,9 +25,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub mod cli;
-mod pool;
-
-pub use pool::{CancelToken, WorkerPool};
 
 /// Process-wide job count used by [`jobs`] when a harness has parsed
 /// `--jobs` (0 = unset, fall back to env/host detection).

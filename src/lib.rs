@@ -52,7 +52,7 @@ pub use ompss_mem::{cast_slice, cast_slice_mut, Backing, Region};
 pub use ompss_runtime::trace;
 pub use ompss_runtime::SlaveRouting;
 pub use ompss_runtime::{
-    ArrayHandle, CachePolicy, CounterSnapshot, FaultClass, FaultPlan, FaultStats, Omp,
+    ArrayHandle, CachePolicy, CounterSnapshot, FaultClass, FaultSpec, FaultStats, Omp,
     ParaverTrace, Policy, RunError, RunReport, Runtime, RuntimeConfig, SimDuration, SimTime,
     TaskCost, TaskHandle, TaskSpec,
 };
