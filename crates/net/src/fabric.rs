@@ -13,13 +13,15 @@
 //! bulk payload bytes are accounted here but physically moved by the
 //! memory manager (which may be phantom-backed for paper-scale runs).
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ompss_sim::{
-    delay, process, Channel, FaultClass, FaultPlan, Semaphore, Signal, SimDuration, SimResult,
+    delay, process, Channel, FaultClass, FaultPlan, ProcName, Semaphore, Signal, SimDuration,
+    SimResult,
 };
 
 /// A node index within the fabric.
@@ -277,7 +279,9 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         let done = Signal::new();
         let fab = self.clone();
         let sig = done.clone();
-        process(format!("net:send:{src}->{dst}")).daemon().spawn(async move {
+        let link = |f: &mut fmt::Formatter<'_>, [src, dst, _]: [u64; 3]| write!(f, "{src}->{dst}");
+        let name = ProcName::Rendered("net:send:", link, [src as u64, dst as u64, 0]);
+        process(name).daemon().spawn(async move {
             if fab.send(src, dst, size, msg).await.is_ok() {
                 sig.set();
             }

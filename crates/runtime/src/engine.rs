@@ -36,14 +36,23 @@ use ompss_mem::{DataId, MemoryManager, OutOfMemory, Region, SpaceId};
 use ompss_net::{AmEndpoint, Fabric, LeaseTracker, NodeId};
 use ompss_sched::{LocalityOracle, ResourceId, Scheduler};
 use ompss_sim::{
-    abort_run, delay, now, process, yield_now, Bell, FaultClass, FaultPlan, Latch, RunError,
-    Signal, SimDuration, SimResult,
+    abort_run, delay, now, process, yield_now, Bell, FaultClass, FaultPlan, Latch, ProcName,
+    RunError, Signal, SimDuration, SimResult,
 };
 
 use crate::exec::{ClusterMsg, RtExec};
 use crate::recover::Reliability;
+use crate::stats::ResourceName;
 use crate::task::{TaskCost, TaskRecord};
 use crate::trace::{TraceEvent, TraceResource, Tracer};
+
+/// The process name `"{prefix}{region}"`, rendered only when displayed.
+pub(crate) fn region_name(prefix: &'static str, r: &Region) -> ProcName {
+    let render = |f: &mut std::fmt::Formatter<'_>, [data, offset, len]: [u64; 3]| {
+        std::fmt::Display::fmt(&Region { data: DataId(data), offset, len }, f)
+    };
+    ProcName::Rendered(prefix, render, [r.data.0, r.offset, r.len])
+}
 
 /// Scheduler oracle over the coherence directory. Every space holding a
 /// valid-latest copy scores for itself, and a remote node's spaces (its
@@ -238,16 +247,17 @@ impl RtShared {
         &self,
         rec: &TaskRecord,
         node: u32,
-        name: &str,
+        name: ResourceName,
         start: ompss_sim::SimTime,
         end: ompss_sim::SimTime,
     ) {
         self.counters.record_busy(node, name, end.saturating_since(start));
         if let Some(tr) = &self.tracer {
+            let (prefix, i) = name;
             tr.record(TraceEvent::Task {
                 task: rec.desc.id.0,
                 label: rec.desc.label.clone(),
-                resource: TraceResource { node, name: name.to_string() },
+                resource: TraceResource { node, name: format!("{prefix}{i}") },
                 start,
                 end,
             });
@@ -330,7 +340,7 @@ impl RtShared {
             let sh = self.clone();
             let latch = latch.clone();
             let results = results.clone();
-            process(format!("acquire:{}", a.region)).daemon().spawn(async move {
+            process(region_name("acquire:", &a.region)).daemon().spawn(async move {
                 if let Ok(loc) = sh.coh.acquire(&*sh.exec, &a.region, a.kind.reads(), space).await {
                     results.lock()[i] = Some(loc);
                 }
@@ -627,7 +637,7 @@ pub(crate) async fn smp_worker(
             match shared.run_smp_body(&rec, space, node).await {
                 Err(_) | Ok(BodyOutcome::Abandoned) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("worker{}", res.0), t0, now());
+                    shared.trace_task(&rec, node, ("worker", res.0 as u64), t0, now());
                     shared.finish(node, tid, res, &ep).await;
                     break;
                 }
@@ -680,7 +690,7 @@ pub(crate) async fn gpu_manager(
             match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
                 Err(_) | Ok(BodyOutcome::Abandoned) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("gpu{}", space.0), t0, now());
+                    shared.trace_task(&rec, node, ("gpu", space.0 as u64), t0, now());
                     shared.finish(node, tid, res, &ep).await;
                     break;
                 }
@@ -721,6 +731,13 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
         {
             let mut m = shared.master.lock();
             for step in 0..nodes.saturating_sub(1) {
+                // Once the master queue is empty no later visit can
+                // dispatch, and the cursor only moves on a dispatch. A
+                // seeded scheduler still takes every visit: each call
+                // draws from its tie-break stream.
+                if m.sched.queued() == 0 && !m.sched.seeded() {
+                    break;
+                }
                 let node = 1 + (cursor + step) % (nodes - 1);
                 if m.node_dead[node as usize] || m.node_absent[node as usize] {
                     continue;
@@ -761,7 +778,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
             // a single device", §III-C3): data already valid in any
             // space of the node needs no push — the oracle reports the
             // node's host as a holder.
-            process(format!("comm:push:t{}", rec.desc.id.0)).daemon().spawn(async move {
+            process(("comm:push:t", rec.desc.id.0)).daemon().spawn(async move {
                 let needed: Vec<_> = rec
                     .copy_accesses()
                     .into_iter()
@@ -781,7 +798,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
                 for a in needed {
                     let sh = shared2.clone();
                     let latch = latch.clone();
-                    process(format!("comm:stage:{}", a.region)).daemon().spawn(async move {
+                    process(region_name("comm:stage:", &a.region)).daemon().spawn(async move {
                         let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
                         latch.done();
                     });
@@ -919,7 +936,7 @@ pub(crate) async fn slave_dispatcher(
                 for t in orphans {
                     let shared2 = shared.clone();
                     let ep2 = ep.clone();
-                    process(format!("bounce:t{}", t.0)).daemon().spawn(async move {
+                    process(("bounce:t", t.0)).daemon().spawn(async move {
                         send_msg(&shared2, &ep2, 0, "Failed", |rel| ClusterMsg::Failed {
                             task: t,
                             rel,
@@ -1408,5 +1425,19 @@ pub(crate) fn device_has_resource(cfg: &crate::config::RuntimeConfig, d: Device)
     match d {
         Device::Smp => cfg.cpu_workers_per_node > 0,
         Device::Cuda => cfg.gpus_per_node > 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn region_names_render_like_the_formatted_region() {
+        for r in [Region::new(DataId(0), 0, 1), Region::new(DataId(7), 4096, 1024)] {
+            for prefix in ["acquire:", "comm:stage:", "flush:"] {
+                assert_eq!(region_name(prefix, &r).to_string(), format!("{prefix}{r}"));
+            }
+        }
     }
 }

@@ -54,7 +54,7 @@ mod verify;
 pub use config::{CachePolicy, EnvSetter, RuntimeConfig, SlaveRouting, ENV_OVERRIDES};
 pub use exec::ClusterMsg;
 pub use runtime::{ArrayHandle, Omp, RunReport, Runtime, TaskHandle};
-pub use stats::{CounterSnapshot, Counters, ResourceBusy};
+pub use stats::{CounterSnapshot, Counters, ResourceBusy, ResourceName};
 pub use task::{TaskBody, TaskCost, TaskRecord, TaskSpec};
 pub use trace::{ParaverTrace, TraceEvent, TraceResource};
 pub use verify::{TaskAccess, VerifyData};

@@ -411,7 +411,7 @@ impl Omp {
         for region in dirty {
             let sh = self.shared.clone();
             let latch = latch.clone();
-            process(format!("flush:{region}")).daemon().spawn(async move {
+            process(crate::engine::region_name("flush:", &region)).daemon().spawn(async move {
                 let _ = sh.coh.flush_region(&*sh.exec, &region).await;
                 latch.done();
             });

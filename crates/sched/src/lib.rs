@@ -22,7 +22,8 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_mem::{Region, SpaceId};
@@ -119,8 +120,135 @@ impl SchedTask {
     }
 }
 
+/// Device kinds in the order of the per-kind tables ([`kind_index`]).
+const DEVICES: [Device; 2] = [Device::Smp, Device::Cuda];
+
+/// Position of `device` in the per-kind tables.
+fn kind_index(device: Device) -> usize {
+    match device {
+        Device::Smp => 0,
+        Device::Cuda => 1,
+    }
+}
+
+/// Per-kind flags, indexed like [`DEVICES`]: which device kinds a
+/// hand-out may take, or which ones a drain removes.
+type Kinds = [bool; 2];
+
+/// A ready queue that knows what it holds: the tasks in arrival order
+/// plus how many sit at each (priority, device kind). A hand-out reads
+/// the highest eligible priority and its candidate count off the
+/// counts, so a queue holding nothing eligible costs O(priority levels)
+/// and a hit walks the queue only up to the task it returns.
+#[derive(Debug, Default)]
+struct TaskQueue {
+    tasks: VecDeque<SchedTask>,
+    /// `(priority, tasks per kind)`, highest priority first; a level is
+    /// removed when its last task leaves.
+    levels: Vec<(i32, [usize; 2])>,
+}
+
+impl TaskQueue {
+    fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    fn count_in(&mut self, t: &SchedTask) {
+        let k = kind_index(t.device);
+        let mut fresh = [0; 2];
+        fresh[k] = 1;
+        match self.levels.iter().position(|&(p, _)| p <= t.priority) {
+            Some(i) if self.levels[i].0 == t.priority => self.levels[i].1[k] += 1,
+            Some(i) => self.levels.insert(i, (t.priority, fresh)),
+            None => self.levels.push((t.priority, fresh)),
+        }
+    }
+
+    fn count_out(&mut self, t: &SchedTask) {
+        let i = self
+            .levels
+            .iter()
+            .position(|&(p, _)| p == t.priority)
+            .expect("a queued task's level is counted");
+        let n = &mut self.levels[i].1;
+        n[kind_index(t.device)] -= 1;
+        if *n == [0, 0] {
+            self.levels.remove(i);
+        }
+    }
+
+    fn push_back(&mut self, t: SchedTask) {
+        self.count_in(&t);
+        self.tasks.push_back(t);
+    }
+
+    fn extend(&mut self, tasks: impl IntoIterator<Item = SchedTask>) {
+        for t in tasks {
+            self.push_back(t);
+        }
+    }
+
+    fn remove(&mut self, pos: usize) -> SchedTask {
+        let t = self.tasks.remove(pos).expect("position valid");
+        self.count_out(&t);
+        t
+    }
+
+    /// Take every task out, in queue order.
+    fn take_all(&mut self) -> VecDeque<SchedTask> {
+        self.levels.clear();
+        std::mem::take(&mut self.tasks)
+    }
+
+    /// Does the queue hold a task of some kind in `kinds`?
+    fn holds(&self, kinds: Kinds) -> bool {
+        self.levels.iter().any(|(_, n)| (0..2).any(|k| kinds[k] && n[k] > 0))
+    }
+
+    /// Remove and return, in queue order, every task of a kind in
+    /// `kinds`; the rest keep their order.
+    fn extract(&mut self, kinds: Kinds) -> Vec<SchedTask> {
+        if !self.holds(kinds) {
+            return Vec::new();
+        }
+        let (out, keep): (Vec<_>, Vec<_>) =
+            self.take_all().into_iter().partition(|t| kinds[kind_index(t.device)]);
+        self.extend(keep);
+        out
+    }
+
+    /// Position of the task a hand-out of `eligible` kinds takes: the
+    /// highest eligible priority wins; among its candidates in queue
+    /// order, the `salt % count`-th (the oldest at salt 0).
+    fn pick(&self, eligible: Kinds, salt: u64) -> Option<usize> {
+        let (prio, count) = self.levels.iter().find_map(|&(p, n)| {
+            let c: usize = (0..2).filter(|&k| eligible[k]).map(|k| n[k]).sum();
+            (c > 0).then_some((p, c))
+        })?;
+        let nth = (salt % count as u64) as usize;
+        self.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.priority == prio && eligible[kind_index(t.device)])
+            .nth(nth)
+            .map(|(i, _)| i)
+    }
+
+    /// Position of the newest task of an `eligible` kind (a steal takes
+    /// from the back).
+    fn last(&self, eligible: Kinds) -> Option<usize> {
+        self.tasks.iter().rposition(|t| eligible[kind_index(t.device)])
+    }
+}
+
+/// One steal group's local queues holding at least [`STEAL_THRESHOLD`]
+/// tasks, keyed `(len, Reverse(resource))`: the last entry is the
+/// longest queue (lowest index among equals), so a thief walks victims
+/// best first and an empty set costs nothing.
+type Backlog = BTreeSet<(usize, Reverse<usize>)>;
+
 /// Scheduling decisions counted for the evaluation's ablations.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchedStats {
     /// Tasks handed out from a resource's own queue.
     pub local_hits: u64,
@@ -170,13 +298,14 @@ pub struct Scheduler {
     /// remote node that lost its last GPU — the proxy stays in service
     /// for SMP work but must no longer attract CUDA tasks.
     forbidden: Vec<Option<Device>>,
-    global: VecDeque<SchedTask>,
-    local: Vec<VecDeque<SchedTask>>,
-    /// Local queues holding at least [`STEAL_THRESHOLD`] tasks: an idle
-    /// resource scans for a steal victim only while this is nonzero.
-    backlogged: usize,
+    global: TaskQueue,
+    local: Vec<TaskQueue>,
+    /// Per steal group, its id and its [`Backlog`].
+    backlog: Vec<(u32, Backlog)>,
+    /// Per-resource position of its steal group in `backlog`.
+    group: Vec<usize>,
     /// Successor hint slot per resource (dependencies policy).
-    hints: Vec<VecDeque<SchedTask>>,
+    hints: Vec<TaskQueue>,
     /// Resources by execution space, for affinity scoring: only the
     /// resources of spaces the oracle reports are ever scored.
     by_space: HashMap<SpaceId, Vec<usize>>,
@@ -205,9 +334,10 @@ impl Scheduler {
             resources: Vec::new(),
             active: Vec::new(),
             forbidden: Vec::new(),
-            global: VecDeque::new(),
+            global: TaskQueue::default(),
             local: Vec::new(),
-            backlogged: 0,
+            backlog: Vec::new(),
+            group: Vec::new(),
             hints: Vec::new(),
             by_space: HashMap::new(),
             score: Vec::new(),
@@ -231,33 +361,60 @@ impl Scheduler {
         self.policy
     }
 
+    /// Is a tie-break perturbation seed set? Every hand-out call on an
+    /// active resource of a seeded scheduler draws from the stream, so
+    /// a caller may skip a call it knows would return `None` only when
+    /// this is false.
+    pub fn seeded(&self) -> bool {
+        self.seed != 0
+    }
+
+    /// Tie-break draws consumed so far (always 0 when not seeded).
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
     /// Register a resource; returns its id.
     pub fn register(&mut self, info: ResourceInfo) -> ResourceId {
         let id = ResourceId(self.resources.len());
         self.by_space.entry(info.space).or_default().push(id.0);
+        let group = match self.backlog.iter().position(|(g, _)| *g == info.steal_group) {
+            Some(g) => g,
+            None => {
+                self.backlog.push((info.steal_group, BTreeSet::new()));
+                self.backlog.len() - 1
+            }
+        };
+        self.group.push(group);
         self.resources.push(info);
         self.active.push(true);
         self.forbidden.push(None);
-        self.local.push(VecDeque::new());
-        self.hints.push(VecDeque::new());
+        self.local.push(TaskQueue::default());
+        self.hints.push(TaskQueue::default());
         self.score.push(0);
         id
     }
 
-    /// Re-count `resource`'s local queue in `backlogged` after its
+    /// Re-key `resource`'s local queue in its group's backlog after its
     /// length changed from `was`.
     fn note_local_len(&mut self, resource: usize, was: usize) {
-        match (was >= STEAL_THRESHOLD, self.local[resource].len() >= STEAL_THRESHOLD) {
-            (false, true) => self.backlogged += 1,
-            (true, false) => self.backlogged -= 1,
-            _ => {}
+        let len = self.local[resource].len();
+        if len == was {
+            return;
+        }
+        let set = &mut self.backlog[self.group[resource]].1;
+        if was >= STEAL_THRESHOLD {
+            set.remove(&(was, Reverse(resource)));
+        }
+        if len >= STEAL_THRESHOLD {
+            set.insert((len, Reverse(resource)));
         }
     }
 
     /// Remove the task at `pos` of `resource`'s local queue.
     fn take_local(&mut self, resource: usize, pos: usize) -> SchedTask {
         let was = self.local[resource].len();
-        let t = self.local[resource].remove(pos).expect("position valid");
+        let t = self.local[resource].remove(pos);
         self.note_local_len(resource, was);
         t
     }
@@ -273,10 +430,10 @@ impl Scheduler {
         }
         self.active[resource.0] = false;
         let was = self.local[resource.0].len();
-        let orphans: Vec<SchedTask> =
-            self.hints[resource.0].drain(..).chain(self.local[resource.0].drain(..)).collect();
+        let hints = self.hints[resource.0].take_all();
+        let local = self.local[resource.0].take_all();
         self.note_local_len(resource.0, was);
-        self.global.extend(orphans);
+        self.global.extend(hints.into_iter().chain(local));
     }
 
     /// Is `resource` still in service?
@@ -308,25 +465,11 @@ impl Scheduler {
         }
         self.forbidden[resource.0] = Some(device);
         let was = self.local[resource.0].len();
-        let strand = |t: &SchedTask| t.device == device;
-        let orphans: Vec<SchedTask> = {
-            let hints = &mut self.hints[resource.0];
-            let local = &mut self.local[resource.0];
-            let mut out = Vec::new();
-            for q in [hints, local] {
-                let mut i = 0;
-                while i < q.len() {
-                    if strand(&q[i]) {
-                        out.push(q.remove(i).expect("index in bounds"));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            out
-        };
+        let strand = DEVICES.map(|d| d == device);
+        let hints = self.hints[resource.0].extract(strand);
+        let local = self.local[resource.0].extract(strand);
         self.note_local_len(resource.0, was);
-        self.global.extend(orphans);
+        self.global.extend(hints.into_iter().chain(local));
     }
 
     /// Withdraw `resource` entirely — whole-node loss, the
@@ -354,28 +497,18 @@ impl Scheduler {
     /// machine-wide fuse prevents this, but a *node* can lose all its
     /// GPUs). The caller re-routes them elsewhere.
     pub fn drain_unservable(&mut self) -> Vec<TaskId> {
-        let mut orphans = Vec::new();
-        // Split borrows: the queue iterators borrow the queues mutably
-        // while the check reads the resource tables, so it takes them
-        // as separate slices rather than going through `serves`.
-        let servable =
-            |t: &SchedTask, res: &[ResourceInfo], act: &[bool], fb: &[Option<Device>]| {
-                (0..res.len())
-                    .any(|i| act[i] && res[i].kind.accepts(t.device) && fb[i] != Some(t.device))
-            };
-        let (resources, active, forbidden) = (&self.resources, &self.active, &self.forbidden);
-        let queues = self.hints.iter_mut().chain(self.local.iter_mut()).chain([&mut self.global]);
-        for q in queues {
-            let mut i = 0;
-            while i < q.len() {
-                if servable(&q[i], resources, active, forbidden) {
-                    i += 1;
-                } else {
-                    orphans.push(q.remove(i).expect("index in bounds").id);
-                }
-            }
+        // Servability depends only on a task's device kind.
+        let unservable = DEVICES.map(|d| !(0..self.resources.len()).any(|i| self.serves(i, d)));
+        let mut orphans: Vec<TaskId> = Vec::new();
+        for q in &mut self.hints {
+            orphans.extend(q.extract(unservable).iter().map(|t| t.id));
         }
-        self.backlogged = self.local.iter().filter(|q| q.len() >= STEAL_THRESHOLD).count();
+        for i in 0..self.local.len() {
+            let was = self.local[i].len();
+            orphans.extend(self.local[i].extract(unservable).iter().map(|t| t.id));
+            self.note_local_len(i, was);
+        }
+        orphans.extend(self.global.extract(unservable).iter().map(|t| t.id));
         self.queued -= orphans.len();
         orphans
     }
@@ -510,93 +643,56 @@ impl Scheduler {
         }
         let kind = self.resources[resource.0].kind;
         let banned = self.forbidden[resource.0];
-        let accepts =
-            |t: &SchedTask| kind.accepts(t.device) && banned != Some(t.device) && allow(t.device);
+        let eligible = DEVICES.map(|d| kind.accepts(d) && banned != Some(d) && allow(d));
         // Highest priority wins; FIFO within a priority level — unless a
         // perturbation seed is set, in which case the tie-break among
         // equal-priority eligible tasks is drawn from a deterministic
-        // pseudo-random stream (schedule exploration).
+        // pseudo-random stream (schedule exploration). Every call on an
+        // active resource draws, whether or not it hands anything out.
         let salt = if self.seed == 0 {
             0
         } else {
             self.decisions += 1;
             splitmix64(self.seed ^ self.decisions)
         };
-        fn pick(
-            q: &VecDeque<SchedTask>,
-            accepts: impl Fn(&SchedTask) -> bool,
-            salt: u64,
-        ) -> Option<usize> {
-            // First pass: the best eligible priority, how many eligible
-            // tasks share it, and the oldest of them.
-            let mut best: Option<(i32, usize)> = None;
-            let mut count = 0u64;
-            for (i, t) in q.iter().enumerate() {
-                if !accepts(t) {
-                    continue;
-                }
-                match best {
-                    Some((p, _)) if t.priority < p => {}
-                    Some((p, _)) if t.priority == p => count += 1,
-                    _ => {
-                        best = Some((t.priority, i));
-                        count = 1;
-                    }
-                }
-            }
-            let (prio, oldest) = best?;
-            // salt == 0 selects the oldest candidate: the exact
-            // pre-perturbation FIFO behaviour, without a second pass.
-            let nth = salt % count;
-            if nth == 0 {
-                return Some(oldest);
-            }
-            q.iter()
-                .enumerate()
-                .skip(oldest)
-                .filter(|(_, t)| t.priority == prio && accepts(t))
-                .nth(nth as usize)
-                .map(|(i, _)| i)
+        if self.queued == 0 {
+            return None;
         }
 
-        if let Some(pos) = pick(&self.hints[resource.0], accepts, salt) {
-            let t = self.hints[resource.0].remove(pos).expect("position valid");
+        if let Some(pos) = self.hints[resource.0].pick(eligible, salt) {
+            let t = self.hints[resource.0].remove(pos);
             self.queued -= 1;
             self.stats.successor_hits += 1;
             return Some(t.id);
         }
 
-        if let Some(pos) = pick(&self.local[resource.0], accepts, salt) {
+        if let Some(pos) = self.local[resource.0].pick(eligible, salt) {
             let t = self.take_local(resource.0, pos);
             self.queued -= 1;
             self.stats.local_hits += 1;
             return Some(t.id);
         }
 
-        if let Some(pos) = pick(&self.global, accepts, salt) {
-            let t = self.global.remove(pos).expect("position valid");
+        if let Some(pos) = self.global.pick(eligible, salt) {
+            let t = self.global.remove(pos);
             self.queued -= 1;
             self.stats.global_hits += 1;
             return Some(t.id);
         }
 
-        if self.policy == Policy::Affinity && self.backlogged > 0 {
-            // Steal from the back of the longest local queue in our
-            // group — but only from a backlogged victim (≥
-            // STEAL_THRESHOLD queued). With no backlogged queue anywhere
-            // there is no victim, so the scan is skipped.
-            let group = self.resources[resource.0].steal_group;
-            let victim = (0..self.resources.len())
-                .filter(|&i| i != resource.0 && self.active[i])
-                .filter(|&i| self.resources[i].steal_group == group)
-                .filter(|&i| self.local[i].len() >= STEAL_THRESHOLD)
-                .filter(|&i| self.local[i].iter().any(&accepts))
-                .max_by_key(|&i| (self.local[i].len(), usize::MAX - i));
+        if self.policy == Policy::Affinity {
+            // Steal from the back of the longest backlogged local queue
+            // (≥ STEAL_THRESHOLD queued) in our group that holds an
+            // eligible task, lowest index among equals. Out-of-service
+            // resources hold no local work, so they are never listed.
+            let victim = self.backlog[self.group[resource.0]]
+                .1
+                .iter()
+                .rev()
+                .map(|&(_, Reverse(i))| i)
+                .find(|&i| i != resource.0 && self.local[i].holds(eligible));
             if let Some(v) = victim {
-                let pos = self.local[v]
-                    .iter()
-                    .rposition(&accepts)
-                    .expect("victim filtered to have an eligible task");
+                let pos = self.local[v].last(eligible).expect("victim holds an eligible task");
                 let t = self.take_local(v, pos);
                 self.queued -= 1;
                 self.stats.steals += 1;
@@ -1220,7 +1316,7 @@ mod tests {
                 }
                 let desc = random_task(&mut rng, id);
                 let expected = dense_placement(&s, &desc, &oracle);
-                let before: Vec<usize> = s.local.iter().map(VecDeque::len).collect();
+                let before: Vec<usize> = s.local.iter().map(TaskQueue::len).collect();
                 let global_before = s.global.len();
                 s.submit(&desc, &oracle);
                 let got = placed_on(&s, &before);
@@ -1268,8 +1364,17 @@ mod tests {
                         }
                     }
                 }
-                let expected = s.local.iter().filter(|q| q.len() >= STEAL_THRESHOLD).count();
-                assert_eq!(s.backlogged, expected, "seed {seed}, step {step}");
+                let mut expected: Vec<Vec<(usize, Reverse<usize>)>> = vec![vec![]; s.backlog.len()];
+                for (i, q) in s.local.iter().enumerate() {
+                    if q.len() >= STEAL_THRESHOLD {
+                        expected[s.group[i]].push((q.len(), Reverse(i)));
+                    }
+                }
+                for (g, want) in expected.iter_mut().enumerate() {
+                    want.sort();
+                    let got: Vec<_> = s.backlog[g].1.iter().copied().collect();
+                    assert_eq!(&got, want, "seed {seed}, step {step}, group {g}");
+                }
             }
             steals += s.stats().steals;
         }
@@ -1296,9 +1401,9 @@ mod tests {
                 d.priority = rng.below(3) as i32;
                 s.submit(&d, &NoLocality);
             }
-            while !s.global.is_empty() {
+            while s.global.len() > 0 {
                 let salt = if s.seed == 0 { 0 } else { splitmix64(s.seed ^ (s.decisions + 1)) };
-                let expected = reference(&s.global, Device::Smp, salt);
+                let expected = reference(&s.global.tasks, Device::Smp, salt);
                 let got = s.next(w);
                 assert_eq!(got, expected, "seed {seed}");
                 if got.is_none() {

@@ -89,7 +89,7 @@ pub type Pid = usize;
 /// reports, panic reports). `ProcName` keeps the common cases free:
 /// literals are borrowed, and the ubiquitous `"{prefix}{index}"` shape
 /// is stored as its parts and rendered lazily via `Display`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum ProcName {
     /// A borrowed literal — zero allocation.
     Static(&'static str),
@@ -97,7 +97,15 @@ pub enum ProcName {
     Owned(Box<str>),
     /// `"{0}{1}"`, rendered only when displayed.
     Indexed(&'static str, u64),
+    /// The prefix followed by what the function renders from the three
+    /// numbers, only when displayed: names built from types this crate
+    /// does not know (a memory region, a network link) without
+    /// formatting them on the spawn path.
+    Rendered(&'static str, NameRender, [u64; 3]),
 }
+
+/// Renders the variable part of a [`ProcName::Rendered`] name.
+pub type NameRender = fn(&mut fmt::Formatter<'_>, [u64; 3]) -> fmt::Result;
 
 impl fmt::Display for ProcName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -105,6 +113,10 @@ impl fmt::Display for ProcName {
             ProcName::Static(s) => f.write_str(s),
             ProcName::Owned(s) => f.write_str(s),
             ProcName::Indexed(prefix, i) => write!(f, "{prefix}{i}"),
+            ProcName::Rendered(prefix, render, parts) => {
+                f.write_str(prefix)?;
+                render(f, *parts)
+            }
         }
     }
 }
@@ -1309,6 +1321,25 @@ mod tests {
                 assert_eq!(blocked.len(), 1);
                 assert_eq!(blocked[0].name, "stuck");
                 assert_eq!(blocked[0].phase, "blocked");
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lazily_named_processes_report_their_rendered_names() {
+        let sim = Sim::new();
+        let pair = |f: &mut fmt::Formatter<'_>, [a, b, _]: [u64; 3]| write!(f, "{a}->{b}");
+        sim.spawn(ProcName::Rendered("link:", pair, [3, 11, 0]), async {
+            let _ = park_forever().await;
+        });
+        sim.spawn(("idx", 42), async {
+            let _ = park_forever().await;
+        });
+        match sim.run() {
+            Err(RunError::Deadlock { blocked }) => {
+                let names: Vec<&str> = blocked.iter().map(|b| b.name.as_str()).collect();
+                assert_eq!(names, ["link:3->11", "idx42"]);
             }
             other => panic!("expected deadlock, got {other:?}"),
         }

@@ -63,7 +63,8 @@ mod time;
 pub use backoff::Backoff;
 pub use engine::{
     abort_run, delay, install_tie_break, mc_resource_id, mc_touch, now, pid, process, spawn,
-    yield_now, Delay, Pid, ProcName, ProcessBuilder, ProcessExit, Sim, StepFootprint, TieBreak,
+    yield_now, Delay, NameRender, Pid, ProcName, ProcessBuilder, ProcessExit, Sim, StepFootprint,
+    TieBreak,
 };
 pub use error::{ProcState, RunError, RunReport, SimError, SimResult};
 pub use fault::{DeviceFuse, FaultClass, FaultPlan, FaultSpec, FaultStats, FAULT_CLASSES};
