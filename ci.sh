@@ -3,7 +3,7 @@
 # fault-injection sweep.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # skip the release build (lints + tests + verify)
+#   ./ci.sh quick    # skip the release build (lints + hostbench check + tests + verify)
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
@@ -90,6 +90,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# hostbench/ sits outside the workspace, so the workspace build never
+# compiles it; check it here so a bound change that breaks it fails fast.
+echo "==> cargo check hostbench (outside the workspace, compiles against crates/*)"
+cargo check --release --manifest-path hostbench/Cargo.toml --all-targets
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"

@@ -1243,7 +1243,7 @@ impl Coherence {
     /// allocation `new_alloc`, sized `size`) after the previous home
     /// died with its node. Called by node-loss recovery at zero
     /// virtual time, after [`purge_spaces`](Self::purge_spaces) and
-    /// *before* lineage reconstruction, under the master lock with no
+    /// *before* lineage reconstruction, under the master borrow with no
     /// simulator yields.
     ///
     /// For every tracked region of the data, the best surviving valid
@@ -1382,7 +1382,7 @@ impl Coherence {
     /// membership where the old home's node is alive and every byte
     /// survives. Called registry-second (the memory registry has
     /// already re-pointed the data and handed out `new_alloc`), under
-    /// the master lock with no simulator yields, and only after
+    /// the master borrow with no simulator yields, and only after
     /// [`migrate_ready`](Self::migrate_ready) said yes in the same
     /// critical section.
     ///

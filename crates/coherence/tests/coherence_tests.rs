@@ -83,7 +83,7 @@ fn single_node(gpu_capacity: u64) -> SingleNode {
 
 fn run_sim<Fut>(f: Fut)
 where
-    Fut: Future<Output = ()> + Send + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     let sim = Sim::new();
     sim.spawn("test", f);

@@ -52,7 +52,7 @@ impl<M> Clone for AmNet<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> AmNet<M> {
+impl<M: Clone + 'static> AmNet<M> {
     /// Build an AM network over a fresh fabric.
     pub fn new(cfg: FabricConfig) -> Self {
         AmNet { fabric: Fabric::new(cfg), counters: Arc::new(AmCounters::default()) }
@@ -108,7 +108,7 @@ impl<M> Clone for AmEndpoint<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> AmEndpoint<M> {
+impl<M: Clone + 'static> AmEndpoint<M> {
     /// The node that owns this endpoint.
     pub fn node(&self) -> NodeId {
         self.node

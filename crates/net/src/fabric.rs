@@ -139,7 +139,7 @@ impl<M> Clone for Fabric<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> Fabric<M> {
+impl<M: Clone + 'static> Fabric<M> {
     /// Build a fabric with one NIC and inbox per node.
     pub fn new(cfg: FabricConfig) -> Self {
         let nics = (0..cfg.nodes)

@@ -362,11 +362,11 @@ mod tests {
     /// Run `f(rank_handle)` on every rank as its own process.
     fn run_ranks<F, Fut>(mpi: &Mpi, f: F)
     where
-        F: Fn(MpiRank) -> Fut + Send + Sync + 'static,
-        Fut: std::future::Future<Output = ()> + Send + 'static,
+        F: Fn(MpiRank) -> Fut + 'static,
+        Fut: std::future::Future<Output = ()> + 'static,
     {
         let sim = Sim::new();
-        let f = Arc::new(f);
+        let f = std::rc::Rc::new(f);
         for r in 0..mpi.size() {
             let rank = mpi.rank(r);
             let f = f.clone();

@@ -23,11 +23,10 @@
 //! device loss is reported ([`RtShared::finish`],
 //! [`RtShared::gpu_lost`]).
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_coherence::{Coherence, MembershipEpochs};
 use ompss_core::{Device, TaskGraph, TaskId};
@@ -84,11 +83,11 @@ impl LocalityOracle for SpanOracle {
     }
 }
 
-/// State owned by the master image, under one lock.
+/// State owned by the master image, in one cell.
 pub(crate) struct MasterState {
     pub graph: TaskGraph,
     pub sched: Scheduler,
-    pub records: HashMap<TaskId, Arc<TaskRecord>>,
+    pub records: HashMap<TaskId, Rc<TaskRecord>>,
     pub next_id: u64,
     /// Dispatched-but-unfinished tasks per node and device kind
     /// `(smp, cuda)` (index 0 unused).
@@ -146,38 +145,44 @@ impl MasterState {
 pub(crate) struct NodeState {
     /// The node's local scheduler. Empty on node 0, whose resources
     /// draw from the master scheduler in [`MasterState`].
-    pub sched: Mutex<Scheduler>,
+    pub sched: RefCell<Scheduler>,
     /// Where the node's idle workers and GPU managers park.
     pub bell: Bell,
     /// Set once this node has lost a GPU: its dispatcher then bounces
     /// freshly arrived CUDA tasks the node can no longer serve back to
     /// the master (covers `Exec`s that raced the `GpuDown` notice).
-    pub gpu_lost: AtomicBool,
+    pub gpu_lost: Cell<bool>,
     /// Ground truth of a planned node-kill: set at the fault instant.
     /// The node's own processes observe it and stop before committing
     /// anything further; the *master* reacts only once the lease
     /// protocol detects the silence.
-    pub dead: AtomicBool,
+    pub dead: Cell<bool>,
 }
 
 impl NodeState {
     pub fn new(sched: Scheduler) -> Self {
         NodeState {
-            sched: Mutex::new(sched),
+            sched: RefCell::new(sched),
             bell: Bell::new(),
-            gpu_lost: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
+            gpu_lost: Cell::new(false),
+            dead: Cell::new(false),
         }
     }
 }
 
 /// Everything the service processes share.
+///
+/// One run lives on one thread, so the runtime's control state sits in
+/// plain cells, as the executor's does. No borrow of `master`, a node
+/// scheduler, `lease` or `membership` is held across an `.await`. What
+/// the transfer executor reaches (`mem`, `exec`, `counters`) stays
+/// thread-safe: [`ompss_coherence::TransferExec`] futures are `Send`.
 pub(crate) struct RtShared {
     pub cfg: crate::config::RuntimeConfig,
     pub mem: Arc<MemoryManager>,
     pub coh: Arc<Coherence>,
     pub exec: Arc<RtExec>,
-    pub master: Mutex<MasterState>,
+    pub master: RefCell<MasterState>,
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
     pub nodes: Vec<NodeState>,
@@ -201,19 +206,19 @@ pub(crate) struct RtShared {
     pub faults: Option<Arc<FaultPlan>>,
     /// Reliable-delivery state for control messages; `Some` exactly
     /// when `faults` is (plain sends otherwise — the paper's protocol).
-    pub rel: Option<Arc<Reliability>>,
+    pub rel: Option<Reliability>,
     /// Lease bookkeeping of the heartbeat protocol; `Some` when
     /// node-loss chaos *or* elastic membership is armed (disarmed runs
     /// track nothing and send nothing). An armed joiner starts
     /// untracked — its lease begins at the join instant; a drained node
     /// is untracked at departure — retirement, not death.
-    pub lease: Option<Mutex<LeaseTracker>>,
+    pub lease: Option<RefCell<LeaseTracker>>,
     /// Epoch-versioned shard ownership; `Some` exactly when the
     /// sharded control plane runs on more than one node. A static
     /// cluster stays at epoch 0 (members `0..nodes`, the same owners as
     /// the pure [`ompss_coherence::ShardMap`]); planned joins/drains
     /// advance the epoch and rebalance slice homes.
-    pub membership: Option<Mutex<MembershipEpochs>>,
+    pub membership: Option<RefCell<MembershipEpochs>>,
     /// Every space of each node (host first, then its GPUs) — the purge
     /// set when that node dies.
     pub node_spaces: Vec<Vec<SpaceId>>,
@@ -264,15 +269,15 @@ impl RtShared {
         }
     }
 
-    fn record(&self, id: TaskId) -> Arc<TaskRecord> {
-        self.master.lock().records.get(&id).expect("unknown task id").clone()
+    fn record(&self, id: TaskId) -> Rc<TaskRecord> {
+        self.master.borrow().records.get(&id).expect("unknown task id").clone()
     }
 
     /// Ground truth: has `node` been killed? (The master only *acts* on
     /// this once the lease protocol detects it; the dead node's own
     /// processes consult it directly — a dead machine stops computing.)
     pub(crate) fn node_down(&self, node: NodeId) -> bool {
-        self.nodes[node as usize].dead.load(Relaxed)
+        self.nodes[node as usize].dead.get()
     }
 
     /// Ring `node`'s bell. Node 0's also wakes the comm thread: work in
@@ -286,13 +291,13 @@ impl RtShared {
 
     /// The next task for resource `res` of `node`. Node 0 draws from
     /// the master scheduler and starts the task in the graph under the
-    /// same lock; a slave draws from its own scheduler (the master
+    /// same borrow; a slave draws from its own scheduler (the master
     /// started the task when it dispatched it).
     fn next_task(&self, node: NodeId, res: ResourceId) -> Option<TaskId> {
         if node != 0 {
-            return self.nodes[node as usize].sched.lock().next(res);
+            return self.nodes[node as usize].sched.borrow_mut().next(res);
         }
-        let mut m = self.master.lock();
+        let mut m = self.master.borrow_mut();
         let t = m.sched.next(res)?;
         m.graph.start(t);
         Some(t)
@@ -301,7 +306,7 @@ impl RtShared {
     /// Report `tid` done on `node`: node 0 completes it in the graph, a
     /// slave sends `Done` to the master.
     async fn finish(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         node: NodeId,
         tid: TaskId,
         res: ResourceId,
@@ -321,7 +326,7 @@ impl RtShared {
     /// caller parks until the last completes. Returns the mapped
     /// locations in access order.
     async fn acquire_all(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         accesses: &[ompss_mem::Access],
         space: SpaceId,
     ) -> SimResult<Vec<ompss_coherence::Loc>> {
@@ -334,21 +339,21 @@ impl RtShared {
         }
         let latch = ompss_sim::Latch::new();
         latch.add(accesses.len() as u64);
-        let results: Arc<Mutex<Vec<Option<ompss_coherence::Loc>>>> =
-            Arc::new(Mutex::new(vec![None; accesses.len()]));
+        let results: Rc<RefCell<Vec<Option<ompss_coherence::Loc>>>> =
+            Rc::new(RefCell::new(vec![None; accesses.len()]));
         for (i, a) in accesses.iter().copied().enumerate() {
             let sh = self.clone();
             let latch = latch.clone();
             let results = results.clone();
             process(region_name("acquire:", &a.region)).daemon().spawn(async move {
                 if let Ok(loc) = sh.coh.acquire(&*sh.exec, &a.region, a.kind.reads(), space).await {
-                    results.lock()[i] = Some(loc);
+                    results.borrow_mut()[i] = Some(loc);
                 }
                 latch.done();
             });
         }
         latch.wait_zero().await?;
-        let locs: Option<Vec<_>> = results.lock().iter().copied().collect();
+        let locs: Option<Vec<_>> = results.borrow().iter().copied().collect();
         locs.ok_or(ompss_sim::SimError::Shutdown)
     }
 
@@ -360,7 +365,7 @@ impl RtShared {
     /// full cost and then reports failure without running the body, so
     /// the worker re-executes under its retry budget.
     async fn run_smp_body(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rec: &TaskRecord,
         space: SpaceId,
         node: NodeId,
@@ -431,7 +436,7 @@ impl RtShared {
     /// Run `task` on a GPU through its manager's stream, with optional
     /// prefetch of `next` while the kernel executes.
     async fn run_gpu_body(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rec: &TaskRecord,
         space: SpaceId,
         node: NodeId,
@@ -538,7 +543,7 @@ impl RtShared {
     /// `Failed` — after a `GpuDown` notice so the master throttles CUDA
     /// dispatch to it.
     fn gpu_lost(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         node: NodeId,
         res: ResourceId,
         space: SpaceId,
@@ -549,7 +554,7 @@ impl RtShared {
         crate::stats::Counters::add(&self.counters.devices_lost, 1);
         let tasks = std::iter::once(tid).chain(prefetched);
         let orphans = if node == 0 {
-            let mut m = self.master.lock();
+            let mut m = self.master.borrow_mut();
             m.sched.deactivate(res);
             for t in tasks {
                 m.requeue(t, &self.master_oracle);
@@ -557,9 +562,9 @@ impl RtShared {
             Vec::new()
         } else {
             let this = &self.nodes[node as usize];
-            this.gpu_lost.store(true, Relaxed);
-            let requeue: Vec<Arc<TaskRecord>> = tasks.map(|t| self.record(t)).collect();
-            let mut s = this.sched.lock();
+            this.gpu_lost.set(true);
+            let requeue: Vec<Rc<TaskRecord>> = tasks.map(|t| self.record(t)).collect();
+            let mut s = this.sched.borrow_mut();
             s.deactivate(res);
             for rec in &requeue {
                 s.submit(&rec.desc, &self.slave_oracle);
@@ -588,17 +593,17 @@ impl RtShared {
     /// scheduler, wake everyone.
     fn complete_on_master(&self, id: TaskId, res: ResourceId) {
         let rec = {
-            let mut m = self.master.lock();
+            let mut guard = self.master.borrow_mut();
+            let m = &mut *guard;
             let mut newly = std::mem::take(&mut m.newly_scratch);
             m.graph.complete_into(id, &mut newly);
             if newly.is_empty() {
                 // Common case: nothing released — no allocation at all.
                 m.sched.task_completed(res, &[], &self.master_oracle);
             } else {
-                let descs: Vec<Arc<TaskRecord>> =
-                    newly.iter().map(|t| m.records[t].clone()).collect();
-                let desc_refs: Vec<&ompss_core::TaskDesc> = descs.iter().map(|r| &r.desc).collect();
-                m.sched.task_completed(res, &desc_refs, &self.master_oracle);
+                let descs: Vec<&ompss_core::TaskDesc> =
+                    newly.iter().map(|t| &m.records[t].desc).collect();
+                m.sched.task_completed(res, &descs, &self.master_oracle);
             }
             newly.clear();
             m.newly_scratch = newly;
@@ -613,7 +618,7 @@ impl RtShared {
 
 /// SMP worker loop, the same on every node.
 pub(crate) async fn smp_worker(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     res: ResourceId,
     ep: AmEndpoint<ClusterMsg>,
@@ -654,7 +659,7 @@ pub(crate) async fn smp_worker(
 
 /// GPU manager loop, the same on every node.
 pub(crate) async fn gpu_manager(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     res: ResourceId,
     space: SpaceId,
@@ -675,7 +680,7 @@ pub(crate) async fn gpu_manager(
         };
         let rec = shared.record(tid);
         // Pick a prefetch candidate before launching.
-        let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
+        let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
             next = shared.next_task(node, res);
             next.map(|n| shared.record(n))
         } else {
@@ -711,7 +716,7 @@ pub(crate) async fn gpu_manager(
 /// The master's communication thread: drains node-proxy queues round
 /// robin, staging data and dispatching `Exec` messages, keeping each
 /// node at `resources + presend` tasks in flight.
-pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     let nodes = shared.cfg.nodes;
     // "Presend" dispatches work to a node before its resources go idle:
     // the cap per device kind is the resource count plus the presend
@@ -725,11 +730,11 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
         // fashion", §III-D1), with a persistent cursor so successive
         // dispatches rotate over the nodes; the outer loop keeps
         // sweeping while any node accepted work. The sweep never awaits,
-        // so it runs under one master lock; the helpers it spawns start
+        // so it runs under one master borrow; the helpers it spawns start
         // only after it, in visit order.
-        let mut dispatched: Vec<(NodeId, Arc<TaskRecord>)> = Vec::new();
+        let mut dispatched: Vec<(NodeId, Rc<TaskRecord>)> = Vec::new();
         {
-            let mut m = shared.master.lock();
+            let mut m = shared.master.borrow_mut();
             for step in 0..nodes.saturating_sub(1) {
                 // Once the master queue is empty no later visit can
                 // dispatch, and the cursor only moves on a dispatch. A
@@ -829,7 +834,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
 
 /// The master's AM dispatcher: completion notifications and inbound
 /// data-message sinks.
-pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn master_dispatcher(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     while let Ok((src, msg)) = ep.poll().await {
         match msg {
             ClusterMsg::Done { task, rel } => {
@@ -837,7 +842,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                     continue;
                 }
                 {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         // The node was declared dead and this task was
                         // already re-homed; the straggler is dropped.
@@ -854,7 +859,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                 // The node hands the task back: put it into the graph
                 // and scheduler again, free its in-flight slot.
                 {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         continue;
                     }
@@ -868,7 +873,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                     continue;
                 }
                 {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         continue;
                     }
@@ -885,7 +890,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
             }
             ClusterMsg::Pong { node } => {
                 if let Some(lease) = &shared.lease {
-                    lease.lock().beat(node, now());
+                    lease.borrow_mut().beat(node, now());
                 }
             }
             ClusterMsg::Ack { id } => {
@@ -904,7 +909,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
 /// A slave node's AM dispatcher: receives `Exec` requests and submits
 /// them to the local scheduler.
 pub(crate) async fn slave_dispatcher(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     ep: AmEndpoint<ClusterMsg>,
 ) {
@@ -923,9 +928,9 @@ pub(crate) async fn slave_dispatcher(
                 let rec = shared.record(task);
                 let this = &shared.nodes[node as usize];
                 let orphans = {
-                    let mut s = this.sched.lock();
+                    let mut s = this.sched.borrow_mut();
                     s.submit(&rec.desc, &shared.slave_oracle);
-                    if this.gpu_lost.load(Relaxed) {
+                    if this.gpu_lost.get() {
                         // This Exec may have raced the GpuDown notice:
                         // hand back anything no local resource serves.
                         s.drain_unservable()
@@ -975,7 +980,7 @@ async fn mid_run(shared: &RtShared, d: SimDuration) -> bool {
 /// occupy the wire but never deliver. Nothing on the master changes
 /// here: detection is the lease protocol's job.
 pub(crate) async fn node_kill(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -983,7 +988,7 @@ pub(crate) async fn node_kill(
     if !mid_run(&shared, at).await {
         return;
     }
-    shared.nodes[node as usize].dead.store(true, Relaxed);
+    shared.nodes[node as usize].dead.set(true);
     fabric.kill_node(node);
     if let Some(plan) = &shared.faults {
         plan.note_injected(FaultClass::NodeLoss);
@@ -999,11 +1004,11 @@ pub(crate) async fn node_kill(
 /// — under sharded control — membership advances one epoch and the
 /// slices the new member now owns are re-homed onto it, registry first.
 /// The whole master-side handshake is atomic in virtual time (one
-/// critical section, no yields), so the rest of the machine observes
+/// master borrow, no yields), so the rest of the machine observes
 /// either the pre-join cluster or the fully joined one; the epoch's
 /// handoff window opens and seals inside that same section.
 pub(crate) async fn node_join(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -1018,16 +1023,16 @@ pub(crate) async fn node_join(
     let mut regions_moved = 0u64;
     let mut bytes_moved = 0u64;
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         m.node_absent[node as usize] = false;
         m.sched.adopt(shared.proxy_res[node as usize]);
         if let Some(lease) = &shared.lease {
             // The joiner's lease begins now — silence before the join
             // was absence, not failure.
-            lease.lock().track(node, now());
+            lease.borrow_mut().track(node, now());
         }
         if let Some(membership) = &shared.membership {
-            let mut ms = membership.lock();
+            let mut ms = membership.borrow_mut();
             ms.join(node);
             // Rebalance: every slice whose owner the new epoch changed
             // is re-homed, registry first. A slice whose copies are
@@ -1113,7 +1118,7 @@ fn move_slice(
 ///    still stranded fails closed), retire its lease, and take it off
 ///    the wire.
 pub(crate) async fn node_drain(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -1123,7 +1128,7 @@ pub(crate) async fn node_drain(
     }
     // 1. Quiesce: no new dispatch to the leaver.
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         if m.node_dead[node as usize] || m.node_absent[node as usize] || shared.node_down(node) {
             return; // already gone (killed, or never joined): nothing to drain
         }
@@ -1142,7 +1147,7 @@ pub(crate) async fn node_drain(
     let poll = SimDuration::from_micros(50);
     loop {
         {
-            let m = shared.master.lock();
+            let m = shared.master.borrow();
             if m.node_dead[node as usize] || shared.node_down(node) {
                 return; // killed mid-drain: crash recovery owns the node now
             }
@@ -1172,12 +1177,12 @@ pub(crate) async fn node_drain(
     // and atomic in virtual time, so neither registry ever points at
     // bytes that are not there.
     {
-        let m = shared.master.lock();
+        let m = shared.master.borrow();
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
         if let Some(membership) = &shared.membership {
-            membership.lock().drain(node);
+            membership.borrow_mut().drain(node);
         }
     }
     let leaver_host = shared.hosts[node as usize];
@@ -1185,14 +1190,14 @@ pub(crate) async fn node_drain(
     let mut attempts = 0u32;
     loop {
         let busy = {
-            let m = shared.master.lock();
+            let m = shared.master.borrow();
             if m.node_dead[node as usize] || shared.node_down(node) {
                 return;
             }
             let mut busy = 0usize;
             for (data, size) in shared.mem.datas_homed_at(leaver_host) {
                 let owner = match &shared.membership {
-                    Some(ms) => ms.lock().owner(data),
+                    Some(ms) => ms.borrow().owner(data),
                     None => 0, // flat plane: everything re-homes onto the master
                 };
                 // A *crashed* member is invisible to the epoch map
@@ -1234,12 +1239,12 @@ pub(crate) async fn node_drain(
     }
     // 5. Depart.
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
         if let Some(membership) = &shared.membership {
-            membership.lock().seal();
+            membership.borrow_mut().seal();
         }
         let lost = shared.coh.purge_spaces(&shared.node_spaces[node as usize]);
         if !lost.is_empty() {
@@ -1252,10 +1257,10 @@ pub(crate) async fn node_drain(
         }
         m.retire(node);
         if let Some(lease) = &shared.lease {
-            lease.lock().untrack(node);
+            lease.borrow_mut().untrack(node);
         }
     }
-    shared.nodes[node as usize].dead.store(true, Relaxed);
+    shared.nodes[node as usize].dead.set(true);
     fabric.set_offline(node);
     crate::stats::Counters::add(&shared.counters.nodes_drained, 1);
     crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
@@ -1270,15 +1275,15 @@ pub(crate) async fn node_drain(
 /// The master's lease monitor (armed-only): probes every live slave on
 /// the heartbeat period, charges missed renewals, and hands nodes whose
 /// lease expired to [`master_node_lost`].
-pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn lease_monitor(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     let Some(lease) = &shared.lease else { return };
-    let period = lease.lock().config().period;
+    let period = lease.borrow().config().period;
     loop {
         if !mid_run(&shared, period).await {
             return;
         }
         let dead = {
-            let mut l = lease.lock();
+            let mut l = lease.borrow_mut();
             let before = l.missed();
             let dead = l.expired(now());
             crate::stats::Counters::add(&shared.counters.heartbeats_missed, l.missed() - before);
@@ -1293,7 +1298,7 @@ pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterM
             // lease until it comes up, a drained node retired its lease
             // at departure — silence from either is not a failure.
             let live = {
-                let l = lease.lock();
+                let l = lease.borrow();
                 l.is_tracked(n) && !l.is_declared_dead(n)
             };
             if live {
@@ -1319,13 +1324,13 @@ pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterM
 /// 5. reconstruct regions whose latest version lived only there by
 ///    lineage re-execution ([`crate::lineage`]), rolling the version
 ///    back to the rebuilt point so re-homed writers re-commit on top.
-pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
+pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
     crate::stats::Counters::add(&shared.counters.nodes_lost, 1);
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_lost", task: None, at: now() });
     }
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         m.retire(node);
         let orphans = m.sched.withdraw(shared.proxy_res[node as usize]);
         if !orphans.is_empty() {
@@ -1386,7 +1391,7 @@ pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
 /// retransmitting on timeout) when chaos is armed, as a plain
 /// fire-and-forget active message otherwise.
 async fn send_msg(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     ep: &AmEndpoint<ClusterMsg>,
     dst: NodeId,
     what: &str,
@@ -1410,7 +1415,7 @@ async fn send_msg(
 /// (first delivery). Duplicates are re-acked — the sender may have
 /// missed the first ack — but must not be reprocessed.
 fn ack_fresh(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     ep: &AmEndpoint<ClusterMsg>,
     src: NodeId,
     rel: Option<u64>,

@@ -8,12 +8,12 @@
 //! multi-GPU node, or a cluster of GPU nodes — only the config differs
 //! (the paper's central productivity claim).
 
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, Topology};
 use ompss_core::{TaskGraph, TaskId};
@@ -290,7 +290,7 @@ impl<T: Scalar> From<&ArrayHandle<T>> for Region {
 /// helper processes spawned by the program.
 #[derive(Clone)]
 pub struct Omp {
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
 }
 
 impl Omp {
@@ -319,7 +319,7 @@ impl Omp {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         let home = match &self.shared.membership {
             Some(ms) => {
-                let owner = ms.lock().owner(self.shared.mem.next_data_id());
+                let owner = ms.borrow().owner(self.shared.mem.next_data_id());
                 Counters::add(&self.shared.counters.shard_lookups, 1);
                 self.shared.hosts[owner as usize]
             }
@@ -373,10 +373,10 @@ impl Omp {
         delay(self.shared.cfg.task_overhead).await.expect("submit during shutdown");
         self.latch().add(1);
         let handle = {
-            let mut m = self.shared.master.lock();
+            let mut m = self.shared.master.borrow_mut();
             let id = TaskId(m.next_id);
             m.next_id += 1;
-            let rec = Arc::new(spec.into_record(id));
+            let rec = Rc::new(spec.into_record(id));
             let handle = TaskHandle { id, done: rec.done.clone() };
             let ready = match m.graph.add_task_labeled(id, &rec.desc.label, &rec.desc.deps) {
                 Ok(r) => r,
@@ -437,7 +437,7 @@ impl Omp {
     /// then flush that region home (`taskwait on(...)`).
     pub async fn taskwait_on(&self, region: Region) {
         let writer = {
-            let m = self.shared.master.lock();
+            let m = self.shared.master.borrow();
             m.graph.pending_writer(&region).map(|t| m.records[&t].clone())
         };
         if let Some(rec) = writer {
@@ -491,7 +491,7 @@ impl Omp {
                     .or_else(|| spec.deps.first())
                     .map(|a| a.region.data)
                     .unwrap_or(DataId(0));
-                let owner = ms.lock().owner(key);
+                let owner = ms.borrow().owner(key);
                 parts[owner as usize].push(spec);
                 start = end;
             }
@@ -534,8 +534,8 @@ impl Runtime {
     /// handle those outcomes as values.
     pub fn run<F, Fut>(cfg: RuntimeConfig, program: F) -> RunReport
     where
-        F: FnOnce(Omp) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(Omp) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         match Self::try_run(cfg, program) {
             Ok(report) => report,
@@ -555,8 +555,8 @@ impl Runtime {
     /// schedules want the error, not a crash.
     pub fn try_run<F, Fut>(cfg: RuntimeConfig, program: F) -> Result<RunReport, RunError>
     where
-        F: FnOnce(Omp) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(Omp) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         assert!(cfg.nodes >= 1, "need at least the master node");
 
@@ -663,10 +663,10 @@ impl Runtime {
         let rel = faults.as_ref().map(|_| {
             // Base ack timeout: a generous round trip on the configured
             // fabric; doubles per retransmission.
-            Arc::new(Reliability::new(
+            Reliability::new(
                 cfg.fabric.latency * 8 + SimDuration::from_micros(100),
                 cfg.am_retry_budget,
-            ))
+            )
         });
         let pinned: Vec<Arc<PinnedPool>> =
             (0..cfg.nodes).map(|_| Arc::new(PinnedPool::new(cfg.pinned_pool))).collect();
@@ -742,12 +742,12 @@ impl Runtime {
         if cfg.node_loss.is_some() {
             graph.enable_lineage(cfg.lineage_depth_budget);
         }
-        let shared = Arc::new(RtShared {
+        let shared = Rc::new(RtShared {
             cfg: cfg.clone(),
             mem: mem.clone(),
             coh: coh.clone(),
             exec,
-            master: Mutex::new(MasterState {
+            master: RefCell::new(MasterState {
                 graph,
                 sched,
                 records: std::collections::HashMap::new(),
@@ -788,7 +788,7 @@ impl Runtime {
                 // is absence, not failure.
                 let tracked: Vec<ompss_net::NodeId> =
                     (1..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
-                Mutex::new(ompss_net::LeaseTracker::new(
+                RefCell::new(ompss_net::LeaseTracker::new(
                     ompss_net::LeaseConfig {
                         period: cfg.heartbeat_period,
                         window: cfg.lease_window,
@@ -800,7 +800,7 @@ impl Runtime {
             membership: (cfg.sharded() && cfg.nodes > 1).then(|| {
                 let members: Vec<u32> =
                     (0..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
-                Mutex::new(MembershipEpochs::new(cfg.shards, members))
+                RefCell::new(MembershipEpochs::new(cfg.shards, members))
             }),
             node_spaces,
             done: ompss_sim::Signal::new(),
@@ -871,7 +871,7 @@ impl Runtime {
         }
 
         // ---- main program ---------------------------------------------
-        let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+        let result: Rc<Cell<Option<(SimTime, SimTime)>>> = Rc::new(Cell::new(None));
         let result2 = result.clone();
         let sh_main = shared.clone();
         sim.spawn("main", async move {
@@ -880,7 +880,7 @@ impl Runtime {
             program(omp.clone()).await;
             // Implicit final taskwait with flush (end of OmpSs program).
             omp.taskwait().await;
-            *result2.lock() = Some((start, now()));
+            result2.set(Some((start, now())));
             // Program over: release the chaos daemons (lease monitor,
             // planned kill) so their timers stop driving virtual time.
             omp.shared.done.set();
@@ -897,8 +897,8 @@ impl Runtime {
         if let Some(plan) = &faults {
             Counters::add(&counters.msgs_dropped, plan.stats().count(FaultClass::NetDrop));
         }
-        let (start, end) = result.lock().take().expect("main completed");
-        let m = shared.master.lock();
+        let (start, end) = result.take().expect("main completed");
+        let m = shared.master.borrow();
         let verify = shared.verify.as_ref().map(|sink| {
             let tasks = sink.take();
             let races = m.graph.races(&VerifySink::observations(&tasks));

@@ -45,7 +45,10 @@
 //! future then resolves to [`SimError::Shutdown`] and the daemon's
 //! `async` body unwinds through its `?`s. If a *non-daemon* process is
 //! still blocked when the queue drains, that is a deadlock in the
-//! modelled system and [`Sim::run`] reports it.
+//! modelled system and [`Sim::run`] reports it. A run ended by
+//! [`abort_run`] is torn down differently: every unfinished future is
+//! dropped where it parked, never resumed, so no body observes a wait
+//! failing under it.
 //!
 //! # Host fast paths
 //!
@@ -68,12 +71,9 @@ use std::fmt;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::error::{ProcState, RunError, RunReport, SimError, SimResult};
 use crate::time::{SimDuration, SimTime};
@@ -141,7 +141,7 @@ impl From<(&'static str, u64)> for ProcName {
 
 /// A process body, type-erased: the `async` block the user spawned,
 /// with its output normalised to `SimResult<()>` (see [`ProcessExit`]).
-type TaskFut = Pin<Box<dyn Future<Output = SimResult<()>> + Send>>;
+type TaskFut = Pin<Box<dyn Future<Output = SimResult<()>>>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -224,7 +224,7 @@ impl StepFootprint {
 /// number — spawn/schedule order). After each dispatched poll the
 /// controller also observes the step's [`StepFootprint`], which is what
 /// the model checker's independence oracle is built from.
-pub trait TieBreak: Send {
+pub trait TieBreak {
     /// Pick one of `candidates` (ordered by sequence number, so index 0
     /// is the default schedule's choice) to dispatch at time `now`.
     /// Returns an index into `candidates`.
@@ -238,13 +238,13 @@ pub trait TieBreak: Send {
 /// thread (loom-style: the checker arms the thread, then calls into
 /// code that constructs the simulation internally).
 struct McInstall {
-    controller: Arc<Mutex<dyn TieBreak>>,
+    controller: Rc<RefCell<dyn TieBreak>>,
     validate: bool,
 }
 
 /// Per-sim model-checking state.
 struct McState {
-    controller: Arc<Mutex<dyn TieBreak>>,
+    controller: Rc<RefCell<dyn TieBreak>>,
     /// Check kernel invariants on every dispatch (stale events must be
     /// dropped; a valid pop must match the tracked pending wake).
     validate: bool,
@@ -267,7 +267,7 @@ thread_local! {
 /// are identical across replays of the same program. `validate` turns
 /// on per-dispatch kernel invariant checking (surfaced as
 /// [`RunError::InvariantViolation`]).
-pub fn install_tie_break(controller: Arc<Mutex<dyn TieBreak>>, validate: bool) {
+pub fn install_tie_break(controller: Rc<RefCell<dyn TieBreak>>, validate: bool) {
     RESOURCE_IDS.with(|c| c.set(0));
     MC_INSTALL.with(|slot| *slot.borrow_mut() = Some(McInstall { controller, validate }));
 }
@@ -296,7 +296,7 @@ pub fn mc_touch(id: u64) {
     CURRENT.with(|stack| {
         if let Some(top) = stack.borrow().last() {
             if top.shared.mc.is_some() {
-                if let Some(step) = top.shared.kernel.lock().step.as_mut() {
+                if let Some(step) = top.shared.kernel.borrow_mut().step.as_mut() {
                     step.resources.push(id);
                 }
             }
@@ -359,19 +359,26 @@ impl Kernel {
 }
 
 /// State shared between the kernel and every primitive.
+///
+/// A simulation runs on exactly one thread, so its state lives in
+/// plain cells: no lock, no atomic. The rule that keeps the `RefCell`s
+/// sound is that no borrow is ever held across a poll — the executor
+/// borrows to pick the next process, releases, then polls — so a
+/// future being polled may borrow the kernel (delay, spawn, wake
+/// scheduling), and a process may even run a nested [`Sim`].
 pub(crate) struct Shared {
-    pub(crate) kernel: Mutex<Kernel>,
+    pub(crate) kernel: RefCell<Kernel>,
     /// The process futures, indexed by pid. Kept outside the kernel
-    /// mutex so a future being polled can lock the kernel (delay,
-    /// spawn, wake scheduling) without deadlocking; the executor takes
-    /// a future out to poll it and puts it back if it stays pending.
-    tasks: Mutex<Vec<Option<TaskFut>>>,
+    /// cell so a future being polled can borrow the kernel; the
+    /// executor takes a future out to poll it and puts it back if it
+    /// stays pending.
+    tasks: RefCell<Vec<Option<TaskFut>>>,
     /// Mirror of `Kernel::now` so [`now`] (called on every primitive
-    /// operation) never takes the kernel lock. Only the executor writes
+    /// operation) never borrows the kernel. Only the executor writes
     /// it, at dispatch time.
-    now_ns: AtomicU64,
-    /// Mirror of `Kernel::shutdown`, for lock-free checks in futures.
-    shutdown_flag: AtomicBool,
+    now: Cell<SimTime>,
+    /// Mirror of `Kernel::shutdown`, for borrow-free checks in futures.
+    shutdown_flag: Cell<bool>,
     /// Host fast paths enabled (default). `OMPSS_SIM_NO_FASTPATH=1`
     /// restores the literal kernel for determinism A/B tests.
     fast_paths: bool,
@@ -385,7 +392,7 @@ impl Shared {
     /// process's *current* epoch. Call while the process is blocked (or
     /// about to block); a stale epoch at pop time makes the event a no-op.
     pub(crate) fn schedule_wake_current_epoch(&self, pid: Pid, at: SimTime) {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         if let Some(step) = k.step.as_mut() {
             // Record the wake whether or not it is coalesced below: the
             // independence oracle cares that this step *interacts* with
@@ -419,9 +426,9 @@ impl Shared {
     /// Pop and account the next valid event; returns the process to
     /// poll, or `None` when the run is over (queue drained, fatal
     /// abort, or shutdown).
-    fn dispatch_locked(&self, k: &mut Kernel) -> Option<Pid> {
+    fn dispatch(&self, k: &mut Kernel) -> Option<Pid> {
         if self.mc.is_some() {
-            return self.dispatch_mc_locked(k);
+            return self.dispatch_mc(k);
         }
         loop {
             if k.fatal.is_some() || k.shutdown {
@@ -458,7 +465,7 @@ impl Shared {
                     }
                     k.now = ev.time;
                     k.events_processed += 1;
-                    self.now_ns.store(ev.time.as_nanos(), Ordering::Release);
+                    self.now.set(ev.time);
                     return Some(ev.pid);
                 }
             }
@@ -471,7 +478,7 @@ impl Shared {
     /// sequence counter deciding. Unchosen events go back on the heap
     /// with their original sequence numbers, so sibling order at the
     /// next choice point is stable.
-    fn dispatch_mc_locked(&self, k: &mut Kernel) -> Option<Pid> {
+    fn dispatch_mc(&self, k: &mut Kernel) -> Option<Pid> {
         let mc = self.mc.as_ref().expect("mc dispatch without a controller");
         loop {
             if k.fatal.is_some() || k.shutdown {
@@ -539,7 +546,7 @@ impl Shared {
                 0
             } else {
                 let pids: Vec<Pid> = live.iter().map(|e| e.pid).collect();
-                let c = mc.controller.lock().choose(t, &pids);
+                let c = mc.controller.borrow_mut().choose(t, &pids);
                 assert!(
                     c < live.len(),
                     "TieBreak::choose returned {c} for {} candidates",
@@ -581,7 +588,7 @@ impl Shared {
             }
             k.now = ev.time;
             k.events_processed += 1;
-            self.now_ns.store(ev.time.as_nanos(), Ordering::Release);
+            self.now.set(ev.time);
             k.step = Some(StepFootprint { pid: ev.pid, ..Default::default() });
             return Some(ev.pid);
         }
@@ -593,18 +600,18 @@ impl Shared {
         let Some(mc) = self.mc.as_ref() else {
             return;
         };
-        let step = self.kernel.lock().step.take();
+        let step = self.kernel.borrow_mut().step.take();
         if let Some(step) = step {
-            mc.controller.lock().observe(step);
+            mc.controller.borrow_mut().observe(step);
         }
     }
 
     pub(crate) fn now(&self) -> SimTime {
-        SimTime(self.now_ns.load(Ordering::Acquire))
+        self.now.get()
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Acquire)
+        self.shutdown_flag.get()
     }
 }
 
@@ -617,7 +624,7 @@ impl Shared {
 /// process body without threading a handle through every call. A stack,
 /// so a process may construct and run a nested [`Sim`] synchronously.
 struct TaskCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     pid: Pid,
 }
 
@@ -627,7 +634,7 @@ thread_local! {
 
 /// Run `f` with the current task's shared state and pid. Panics when
 /// called outside a simulation process.
-pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Shared>, Pid) -> R) -> R {
+pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<Shared>, Pid) -> R) -> R {
     CURRENT.with(|stack| {
         let stack = stack.borrow();
         let top = stack
@@ -637,8 +644,30 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Shared>, Pid) -> R) -> R {
     })
 }
 
+/// Publishes a process as the running task — for the free functions,
+/// and model-checking touches routed to its sim — until dropped.
+struct Running {
+    mc_was_active: bool,
+}
+
+impl Running {
+    fn publish(shared: &Rc<Shared>, pid: Pid) -> Self {
+        CURRENT.with(|s| s.borrow_mut().push(TaskCtx { shared: shared.clone(), pid }));
+        Running { mc_was_active: MC_ACTIVE.with(|f| f.replace(shared.mc.is_some())) }
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        MC_ACTIVE.with(|f| f.set(self.mc_was_active));
+        CURRENT.with(|s| {
+            s.borrow_mut().pop();
+        });
+    }
+}
+
 /// Like [`with_current`], but only needs the executor, not the pid.
-pub(crate) fn with_current_shared<R>(f: impl FnOnce(&Arc<Shared>) -> R) -> R {
+pub(crate) fn with_current_shared<R>(f: impl FnOnce(&Rc<Shared>) -> R) -> R {
     with_current(|shared, _| f(shared))
 }
 
@@ -662,7 +691,7 @@ pub fn pid() -> Pid {
 /// ```
 pub fn abort_run(err: RunError) -> SimError {
     with_current_shared(|shared| {
-        let mut k = shared.kernel.lock();
+        let mut k = shared.kernel.borrow_mut();
         if !k.shutdown && k.fatal.is_none() {
             k.fatal = Some(err);
         }
@@ -678,7 +707,7 @@ pub fn abort_run(err: RunError) -> SimError {
 /// `()` for infallible bodies, `SimResult<()>` for bodies that use `?`
 /// on blocking calls — [`SimError::Shutdown`] (daemon teardown) and
 /// [`SimError::Closed`] (drained channel) are clean exits, not errors.
-pub trait ProcessExit: Send + 'static {
+pub trait ProcessExit: 'static {
     /// Normalise to the kernel's internal exit type.
     fn into_exit(self) -> SimResult<()>;
 }
@@ -695,8 +724,8 @@ impl ProcessExit for SimResult<()> {
     }
 }
 
-fn spawn_impl(shared: &Arc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) -> Pid {
-    let mut k = shared.kernel.lock();
+fn spawn_impl(shared: &Rc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) -> Pid {
+    let mut k = shared.kernel.borrow_mut();
     // Initial activation at the current time: a fresh slot starts at
     // epoch 0; a recycled slot continues its epoch sequence so stale
     // events from the previous incarnation can never resume this one.
@@ -732,7 +761,7 @@ fn spawn_impl(shared: &Arc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) 
     k.seq += 1;
     k.queue.push(Reverse(Event { time: at, seq, pid, epoch }));
     drop(k);
-    let mut tasks = shared.tasks.lock();
+    let mut tasks = shared.tasks.borrow_mut();
     if pid < tasks.len() {
         debug_assert!(tasks[pid].is_none(), "reused slot still holds a future");
         tasks[pid] = Some(fut);
@@ -745,7 +774,7 @@ fn spawn_impl(shared: &Arc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) 
 
 fn box_body<F>(fut: F) -> TaskFut
 where
-    F: Future + Send + 'static,
+    F: Future + 'static,
     F::Output: ProcessExit,
 {
     Box::pin(async move { fut.await.into_exit() })
@@ -761,7 +790,7 @@ where
 /// });
 /// ```
 pub struct ProcessBuilder {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     name: ProcName,
     daemon: bool,
 }
@@ -780,7 +809,7 @@ impl ProcessBuilder {
     /// current virtual time. Returns its pid.
     pub fn spawn<F>(self, fut: F) -> Pid
     where
-        F: Future + Send + 'static,
+        F: Future + 'static,
         F::Output: ProcessExit,
     {
         spawn_impl(&self.shared, self.name, self.daemon, box_body(fut))
@@ -801,7 +830,7 @@ pub fn process(name: impl Into<ProcName>) -> ProcessBuilder {
 /// process, runnable at the current virtual time.
 pub fn spawn<F>(name: impl Into<ProcName>, fut: F) -> Pid
 where
-    F: Future + Send + 'static,
+    F: Future + 'static,
     F::Output: ProcessExit,
 {
     process(name).spawn(fut)
@@ -829,7 +858,7 @@ impl Future for Delay {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         match self.state {
             DelayState::Init => with_current(|shared, pid| {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 if k.shutdown {
                     self.state = DelayState::Done;
                     return Poll::Ready(Err(SimError::Shutdown));
@@ -858,7 +887,7 @@ impl Future for Delay {
                         }
                         k.now = at;
                         k.events_processed += 1;
-                        shared.now_ns.store(at.as_nanos(), Ordering::Release);
+                        shared.now.set(at);
                         self.state = DelayState::Done;
                         return Poll::Ready(Ok(()));
                     }
@@ -918,7 +947,7 @@ pub(crate) struct ParkWhile<F> {
 
 impl<T, F> Future for ParkWhile<F>
 where
-    F: FnMut(&Arc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
 {
     type Output = SimResult<T>;
 
@@ -927,7 +956,7 @@ where
         with_current(|shared, pid| match (me.f)(shared, pid) {
             Some(r) => Poll::Ready(r),
             None => {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 if k.shutdown {
                     return Poll::Ready(Err(SimError::Shutdown));
                 }
@@ -942,7 +971,7 @@ where
 /// [`ParkWhile`]).
 pub(crate) fn park_while<T, F>(f: F) -> ParkWhile<F>
 where
-    F: FnMut(&Arc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
 {
     ParkWhile { f }
 }
@@ -968,7 +997,7 @@ where
 /// assert_eq!(report.end_time.as_nanos(), 3_000_000);
 /// ```
 pub struct Sim {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl Default for Sim {
@@ -991,8 +1020,8 @@ impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
         Sim {
-            shared: Arc::new(Shared {
-                kernel: Mutex::new(Kernel {
+            shared: Rc::new(Shared {
+                kernel: RefCell::new(Kernel {
                     now: SimTime::ZERO,
                     seq: 0,
                     queue: BinaryHeap::new(),
@@ -1009,9 +1038,9 @@ impl Sim {
                     step: None,
                     violations: Vec::new(),
                 }),
-                tasks: Mutex::new(Vec::new()),
-                now_ns: AtomicU64::new(0),
-                shutdown_flag: AtomicBool::new(false),
+                tasks: RefCell::new(Vec::new()),
+                now: Cell::new(SimTime::ZERO),
+                shutdown_flag: Cell::new(false),
                 fast_paths: std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0"),
                 mc: MC_INSTALL.with(|slot| {
                     slot.borrow_mut()
@@ -1033,7 +1062,7 @@ impl Sim {
     /// non-daemon process has returned.
     pub fn spawn<F>(&self, name: impl Into<ProcName>, fut: F) -> Pid
     where
-        F: Future + Send + 'static,
+        F: Future + 'static,
         F::Output: ProcessExit,
     {
         self.process(name).spawn(fut)
@@ -1041,23 +1070,22 @@ impl Sim {
 
     /// Poll process `pid` once, with the current-task context published
     /// for the free functions. Returns whether the future completed.
-    fn poll_process(shared: &Arc<Shared>, pid: Pid) -> bool {
-        let Some(mut fut) = shared.tasks.lock()[pid].take() else {
+    fn poll_process(shared: &Rc<Shared>, pid: Pid) -> bool {
+        let Some(mut fut) = shared.tasks.borrow_mut()[pid].take() else {
             return true;
         };
-        CURRENT.with(|s| s.borrow_mut().push(TaskCtx { shared: shared.clone(), pid }));
-        let mc_was_active = MC_ACTIVE.with(|f| f.replace(shared.mc.is_some()));
+        let _running = Running::publish(shared, pid);
         let waker = noop_waker();
         let mut cx = Context::from_waker(&waker);
         let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-        let finished = match polled {
+        match polled {
             Ok(Poll::Pending) => {
-                shared.tasks.lock()[pid] = Some(fut);
+                shared.tasks.borrow_mut()[pid] = Some(fut);
                 false
             }
             Ok(Poll::Ready(_exit)) => {
                 // Shutdown/Closed exits are clean teardown, not failures.
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let slot = &mut k.procs[pid];
                 slot.phase = Phase::Finished;
                 slot.epoch += 1;
@@ -1079,7 +1107,7 @@ impl Sim {
             }
             Err(payload) => {
                 let msg = panic_message(&*payload);
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let slot = &mut k.procs[pid];
                 slot.phase = Phase::Finished;
                 slot.epoch += 1;
@@ -1096,12 +1124,25 @@ impl Sim {
                 let _ = catch_unwind(AssertUnwindSafe(move || drop(fut)));
                 true
             }
+        }
+    }
+
+    /// Tear process `pid` down without resuming it: its future is
+    /// dropped where it last parked. This is how an aborted run ends —
+    /// polling again would hand every parked body an `Err(Shutdown)`
+    /// it never expects mid-run, and bodies that `expect` their waits
+    /// would panic through the teardown.
+    fn drop_process(shared: &Rc<Shared>, pid: Pid) {
+        {
+            let slot = &mut shared.kernel.borrow_mut().procs[pid];
+            slot.phase = Phase::Finished;
+            slot.epoch += 1;
+        }
+        let Some(fut) = shared.tasks.borrow_mut()[pid].take() else {
+            return;
         };
-        MC_ACTIVE.with(|f| f.set(mc_was_active));
-        CURRENT.with(|s| {
-            s.borrow_mut().pop();
-        });
-        finished
+        let _running = Running::publish(shared, pid);
+        let _ = catch_unwind(AssertUnwindSafe(move || drop(fut)));
     }
 
     /// Run the simulation until the event queue drains, then tear down
@@ -1113,10 +1154,7 @@ impl Sim {
         let host_start = Instant::now();
         let shared = &self.shared;
         loop {
-            let pid = {
-                let mut k = shared.kernel.lock();
-                shared.dispatch_locked(&mut k)
-            };
+            let pid = shared.dispatch(&mut shared.kernel.borrow_mut());
             match pid {
                 Some(pid) => {
                     Self::poll_process(shared, pid);
@@ -1128,7 +1166,7 @@ impl Sim {
 
         // Queue drained. Non-daemon processes still alive are deadlocked.
         let deadlocked: Vec<ProcState> = {
-            let k = shared.kernel.lock();
+            let k = shared.kernel.borrow();
             k.procs
                 .iter()
                 .enumerate()
@@ -1148,13 +1186,18 @@ impl Sim {
         // Blocking futures observe the shutdown flag and resolve to
         // `Err(Shutdown)`, so one poll unwinds each body through its
         // `?`s — a body that keeps blocking is re-polled until the guard
-        // trips.
-        shared.kernel.lock().shutdown = true;
-        shared.shutdown_flag.store(true, Ordering::Release);
+        // trips. After an abort nothing is polled again: every
+        // unfinished body is dropped where it parked.
+        let aborted = {
+            let mut k = shared.kernel.borrow_mut();
+            k.shutdown = true;
+            k.fatal.is_some()
+        };
+        shared.shutdown_flag.set(true);
         let mut guard = 0usize;
         loop {
             let pending: Vec<Pid> = {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let mut v = Vec::new();
                 for (pid, slot) in k.procs.iter_mut().enumerate() {
                     if slot.phase != Phase::Finished {
@@ -1169,16 +1212,19 @@ impl Sim {
                 break;
             }
             for pid in pending {
-                Self::poll_process(shared, pid);
+                if aborted {
+                    Self::drop_process(shared, pid);
+                } else {
+                    Self::poll_process(shared, pid);
+                }
             }
             guard += 1;
             assert!(guard < 1000, "a process is ignoring SimError::Shutdown");
         }
 
-        let mut k = shared.kernel.lock();
+        let mut k = shared.kernel.borrow_mut();
         // An abort takes precedence: processes blocked at that instant
-        // (and panics from their forced unwinds) are consequences of
-        // stopping early, not independent failures.
+        // are consequences of stopping early, not independent failures.
         if let Some(fatal) = k.fatal.take() {
             return Err(fatal);
         }
@@ -1218,7 +1264,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Park forever (test helper): the old engine's bare `ctx.park()`.
     async fn park_forever() -> SimResult<()> {
@@ -1248,37 +1293,37 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order_across_processes() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for (name, d) in [("a", 30u64), ("b", 10), ("c", 20)] {
             let log = log.clone();
             sim.spawn(name, async move {
                 delay(SimDuration::from_nanos(d)).await.unwrap();
-                log.lock().push(name);
+                log.borrow_mut().push(name);
             });
         }
         sim.run().unwrap();
-        assert_eq!(*log.lock(), vec!["b", "c", "a"]);
+        assert_eq!(*log.borrow(), vec!["b", "c", "a"]);
     }
 
     #[test]
     fn same_time_events_fire_in_spawn_order() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for name in ["first", "second", "third"] {
             let log = log.clone();
             sim.spawn(name, async move {
                 delay(SimDuration::from_nanos(7)).await.unwrap();
-                log.lock().push(name);
+                log.borrow_mut().push(name);
             });
         }
         sim.run().unwrap();
-        assert_eq!(*log.lock(), vec!["first", "second", "third"]);
+        assert_eq!(*log.borrow(), vec!["first", "second", "third"]);
     }
 
     #[test]
     fn nested_spawn_runs_at_current_time() {
-        let hits = Arc::new(AtomicUsize::new(0));
+        let hits = Rc::new(Cell::new(0));
         let sim = Sim::new();
         let h = hits.clone();
         sim.spawn("parent", async move {
@@ -1286,13 +1331,13 @@ mod tests {
             let h2 = h.clone();
             spawn("child", async move {
                 assert_eq!(now().as_nanos(), 5);
-                h2.fetch_add(1, Ordering::SeqCst);
+                h2.set(h2.get() + 1);
             });
             delay(SimDuration::from_nanos(1)).await.unwrap();
-            assert_eq!(h.load(Ordering::SeqCst), 1, "child ran before parent's next event");
+            assert_eq!(h.get(), 1, "child ran before parent's next event");
         });
         sim.run().unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(hits.get(), 1);
     }
 
     #[test]
@@ -1375,19 +1420,19 @@ mod tests {
 
     #[test]
     fn yield_now_interleaves_same_time_processes() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for name in ["a", "b"] {
             let log = log.clone();
             sim.spawn(name, async move {
                 for i in 0..3 {
-                    log.lock().push(format!("{name}{i}"));
+                    log.borrow_mut().push(format!("{name}{i}"));
                     yield_now().await.unwrap();
                 }
             });
         }
         sim.run().unwrap();
-        let got = log.lock().clone();
+        let got = log.borrow().clone();
         assert_eq!(got, vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
     }
 
@@ -1446,17 +1491,17 @@ mod tests {
 
     #[test]
     fn many_processes_complete() {
-        let counter = Arc::new(AtomicUsize::new(0));
+        let counter = Rc::new(Cell::new(0));
         let sim = Sim::new();
         for i in 0..200 {
             let c = counter.clone();
             sim.spawn(format!("p{i}"), async move {
                 delay(SimDuration::from_nanos(i as u64)).await.unwrap();
-                c.fetch_add(1, Ordering::SeqCst);
+                c.set(c.get() + 1);
             });
         }
         let report = sim.run().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
+        assert_eq!(counter.get(), 200);
         assert_eq!(report.processes, 200);
     }
 
@@ -1509,7 +1554,7 @@ mod tests {
         });
         let report = sim.run().unwrap();
         assert_eq!(report.processes, 51, "processes must count spawns, not slots");
-        let slots = shared.kernel.lock().procs.len();
+        let slots = shared.kernel.borrow().procs.len();
         assert!(slots <= 3, "sequential spawn/finish must recycle slots; got {slots} of 51");
     }
 
@@ -1531,7 +1576,7 @@ mod tests {
             Err(RunError::ProcessPanic(name, _)) => assert_eq!(name, "bad0"),
             other => panic!("expected panic report, got {other:?}"),
         }
-        let slots = shared.kernel.lock().procs.len();
+        let slots = shared.kernel.borrow().procs.len();
         assert_eq!(slots, 6, "each panicked process must keep its own slot");
     }
 
@@ -1561,7 +1606,7 @@ mod tests {
         assert_eq!(report.end_time.as_nanos(), 230);
         assert_eq!(report.processes, 3);
         assert_eq!(
-            shared.kernel.lock().procs.len(),
+            shared.kernel.borrow().procs.len(),
             2,
             "the reincarnation must reuse the waiter's slot"
         );
@@ -1593,5 +1638,62 @@ mod tests {
         if std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0") {
             assert_eq!(report.wakes_coalesced, 1);
         }
+    }
+
+    #[test]
+    fn abort_drops_parked_processes_without_resuming_them() {
+        // The waiter would see `Err(Shutdown)` if teardown polled it
+        // again; an aborted run must drop it where it parked instead.
+        let sim = Sim::new();
+        let sig = crate::sync::Signal::new();
+        let resumed = Rc::new(Cell::new(false));
+        let (s, r) = (sig.clone(), resumed.clone());
+        sim.spawn("waiter", async move {
+            let _ = s.wait().await;
+            r.set(true);
+        });
+        sim.spawn("aborter", async {
+            delay(SimDuration::from_nanos(5)).await.unwrap();
+            let _ = abort_run(RunError::Exhausted { what: "t7".into(), attempts: 2 });
+        });
+        match sim.run() {
+            Err(RunError::Exhausted { what, attempts }) => {
+                assert_eq!((what.as_str(), attempts), ("t7", 2));
+            }
+            other => panic!("expected Exhausted, got {other:?}"),
+        }
+        assert!(!resumed.get(), "an aborted run resumed a parked process");
+        drop(sig);
+    }
+
+    #[test]
+    fn nested_sim_runs_on_its_own_clock() {
+        // A process may build and run a whole simulation synchronously
+        // (the verify replayer does): no kernel borrow may be held
+        // across a poll, and each sim reads its own clock.
+        let sim = Sim::new();
+        let inner_end = Rc::new(Cell::new(None));
+        let out = inner_end.clone();
+        sim.spawn("outer", async move {
+            delay(SimDuration::from_nanos(1_000)).await.unwrap();
+            let inner = Sim::new();
+            inner.spawn("inner", async {
+                assert_eq!(now(), SimTime::ZERO, "inner process read the outer clock");
+                spawn("child", async {
+                    delay(SimDuration::from_nanos(30)).await.unwrap();
+                });
+                delay(SimDuration::from_nanos(20)).await.unwrap();
+                assert_eq!(now().as_nanos(), 20);
+            });
+            let report = inner.run().expect("inner sim completes");
+            out.set(Some((report.end_time.as_nanos(), report.processes)));
+            assert_eq!(now().as_nanos(), 1_000, "outer clock moved with the inner run");
+            delay(SimDuration::from_nanos(5)).await.unwrap();
+            assert_eq!(now().as_nanos(), 1_005);
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(inner_end.get(), Some((30, 2)));
+        assert_eq!(report.end_time.as_nanos(), 1_005);
+        assert_eq!(report.processes, 1);
     }
 }
